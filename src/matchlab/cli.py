@@ -16,11 +16,11 @@ import os
 import sys
 
 from matchlab.experiments import (DEFAULT_SEED, FAMILY_BUILDERS, ALGORITHMS,
-                                  REPRODUCTIONS, RUNNER_TIE_BREAKS,
-                                  TYPE_FAMILIES, ExperimentSpec, build_family,
-                                  params_label, reproduce, run_experiment,
-                                  summarize_rows)
+                                  REPRODUCTIONS, TYPE_FAMILIES, ExperimentSpec,
+                                  build_family, params_label, reproduce,
+                                  run_experiment, summarize_rows)
 from matchlab.graphs import graph_from_dict, graph_to_dict, maximum_matching
+from matchlab.online import TIE_BREAKS
 
 CSV_HEADER = "family,params,algorithm,seed,trial,alg_size,opt_size,ratio"
 
@@ -154,7 +154,7 @@ def build_parser() -> _Parser:
     p_run.add_argument("--trials", type=int, default=1)
     p_run.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (default ${SEED_ENV_VAR} or {DEFAULT_SEED})")
-    p_run.add_argument("--tie", default=None, choices=list(RUNNER_TIE_BREAKS),
+    p_run.add_argument("--tie", default=None, choices=list(TIE_BREAKS),
                        help="tie-breaking rule where the algorithm takes one")
     p_run.add_argument("--k", type=int, default=None,
                        help="pass count for category-advice")
@@ -188,7 +188,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"matchlab: error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,6 +10,7 @@ identical no matter how trials are partitioned across workers.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -19,28 +20,37 @@ from matchlab.analysis import (expected_bp_sizes, expected_padded_sizes,
                                expected_y_exact, ode_root, simulate_chain,
                                simulate_rhs_empirical, trial_stats)
 from matchlab.families import (FamilyDescriptor, fibonacci,
+                               fibonacci_family_edges, gadget_slack,
                                gen_besser_poloczek, gen_fibonacci_family,
                                gen_goel_mehta, gen_h_graph,
                                gen_kvv_triangular, gen_min_degree_hard)
 from matchlab.graphs import BipartiteGraph, maximum_matching
 from matchlab.iid import (TypeGraph, gadget_overflow_count, run_greedy_iid,
                           run_min_degree, sample_instance)
-from matchlab.online import run_category_advice, run_greedy, run_ranking
+from matchlab.online import (TIE_BREAKS, run_category_advice, run_greedy,
+                             run_ranking)
 from matchlab.graphs import Permutation
 from matchlab.priority import run_min_greedy, run_min_ranking
 from matchlab.rng import derive_seed, make_rng
 
 DEFAULT_SEED = 101
 
-# family name -> (generator, canonical parameter order)
+# family name -> (generator, canonical parameter order, edge count)
 FAMILY_BUILDERS = {
-    "fibonacci": (gen_fibonacci_family, ("k",)),
-    "kvv": (gen_kvv_triangular, ("n",)),
-    "bp": (gen_besser_poloczek, ("b",)),
-    "hgraph": (gen_h_graph, ("n", "k")),
-    "goelmehta": (gen_goel_mehta, ("L", "N")),
-    "mindegreehard": (gen_min_degree_hard, ("L", "N", "K")),
+    "fibonacci": (gen_fibonacci_family, ("k",), fibonacci_family_edges),
+    "kvv": (gen_kvv_triangular, ("n",), lambda n: n * (n + 1) // 2),
+    "bp": (gen_besser_poloczek, ("b",), lambda b: 5 * b**3 + 2 * b**2 + 2 * b),
+    "hgraph": (gen_h_graph, ("n", "k"), lambda n, k: n * (k + 1)),
+    "goelmehta": (gen_goel_mehta, ("L", "N"), lambda L, N: L * L * N * (N + 1) // 2),
+    "mindegreehard": (gen_min_degree_hard, ("L", "N", "K"),
+                      lambda L, N, K: (K * L * L * N * (N + 1)
+                                       + L * N * (L + gadget_slack(L)))),
 }
+
+# Most edges build_family will generate: twelve times the 5.02M edges of
+# bp b=100, the largest benchmark graph.  Larger inputs are refused so that
+# a typo never exhausts memory.
+MAX_EDGES = 60_000_000
 
 # families whose online side is a type set sampled IID rather than a
 # concrete arrival sequence
@@ -51,27 +61,33 @@ ALGORITHMS = ("greedy", "ranking", "category-advice",
 
 IID_ALGORITHMS = frozenset({"mindegree", "greedy-iid"})
 
-# tie rules the trial runner can drive without extra inputs
-RUNNER_TIE_BREAKS = ("lowest-index", "max-index", "random")
-
 
 def build_family(family: str, params: dict) -> tuple[BipartiteGraph, FamilyDescriptor]:
-    """Instantiate a named family; validates name and parameter keys."""
+    """Instantiate a named family; validates name, parameter keys and size.
+
+    Families with more than MAX_EDGES edges are refused before anything
+    is allocated.
+    """
     if family not in FAMILY_BUILDERS:
         raise ValueError(f"unknown family {family!r}; "
                          f"choose from {sorted(FAMILY_BUILDERS)}")
-    gen, names = FAMILY_BUILDERS[family]
+    gen, names, edges = FAMILY_BUILDERS[family]
     missing = [p for p in names if p not in params]
     extra = [p for p in params if p not in names]
     if missing or extra:
         raise ValueError(f"family {family!r} takes parameters {list(names)}; "
                          f"missing {missing}, unexpected {extra}")
-    return gen(*(int(params[p]) for p in names))
+    args = [int(params[p]) for p in names]
+    n_edges = edges(*args)
+    if n_edges > MAX_EDGES:
+        raise ValueError(f"family {family!r} with {params_label(family, params)} "
+                         f"has {n_edges} edges, above the cap of {MAX_EDGES}")
+    return gen(*args)
 
 
 def params_label(family: str, params: dict) -> str:
     """Canonical one-token rendering of family parameters (CSV-safe)."""
-    _, names = FAMILY_BUILDERS[family]
+    names = FAMILY_BUILDERS[family][1]
     return ";".join(f"{p}={int(params[p])}" for p in names)
 
 
@@ -100,9 +116,9 @@ class ExperimentSpec:
         if self.tie_break is not None:
             if self.algorithm not in IID_ALGORITHMS and self.algorithm != "greedy":
                 raise ValueError(f"{self.algorithm} takes no tie-breaking rule")
-            if self.tie_break not in RUNNER_TIE_BREAKS:
+            if self.tie_break not in TIE_BREAKS:
                 raise ValueError(f"unknown tie_break {self.tie_break!r}; "
-                                 f"choose from {sorted(RUNNER_TIE_BREAKS)}")
+                                 f"choose from {sorted(TIE_BREAKS)}")
         if self.passes is not None and self.algorithm != "category-advice":
             raise ValueError("pass count applies to category-advice only")
         if self.algorithm == "category-advice" and (self.passes or 1) < 1:
@@ -121,10 +137,6 @@ class ExperimentSpec:
                 "algorithm": self.algorithm, "trials": self.trials,
                 "seed": self.seed, "tie_break": self.tie_break,
                 "passes": self.passes}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentSpec":
-        return cls(**d)
 
 
 @dataclass
@@ -150,14 +162,13 @@ def _run_block(spec_dict: dict, lo: int, hi: int) -> list[tuple[int, int, int]]:
     Top-level so process pools can ship it; rebuilding the family per
     block is cheap and keeps workers free of shared state.
     """
-    spec = ExperimentSpec.from_dict(spec_dict)
-    g, desc = build_family(spec.family, spec.family_params)
-    alg = spec.algorithm
+    spec = ExperimentSpec(**spec_dict)
+    g, _ = build_family(spec.family, spec.family_params)
+    alg, tie = spec.algorithm, spec.tie_break or "lowest-index"
     out: list[tuple[int, int, int]] = []
     if alg in IID_ALGORITHMS:
         tg = TypeGraph.from_graph(g)
         run = run_min_degree if alg == "mindegree" else run_greedy_iid
-        tie = spec.tie_break or "lowest-index"
         from matchlab.iid import materialize_instance
         for t in range(lo, hi):
             inst = sample_instance(tg, derive_seed(spec.seed, 2 * t))
@@ -172,13 +183,9 @@ def _run_block(spec_dict: dict, lo: int, hi: int) -> list[tuple[int, int, int]]:
     for t in range(lo, hi):
         ts = derive_seed(spec.seed, t)
         if alg == "ranking":
-            rng = make_rng(ts)
-            sigma = Permutation.random(g.n_offline, rng)
-            m = run_ranking(g, None, sigma)
+            m = run_ranking(g, None, Permutation.random(g.n_offline, make_rng(ts)))
         elif alg == "greedy":
-            tie = spec.tie_break or "lowest-index"
-            m = run_greedy(g, tie_break=tie,
-                           seed=ts if tie == "random" else None)
+            m = run_greedy(g, tie_break=tie, seed=ts)
         elif alg == "mingreedy":
             m = run_min_greedy(g, ts)
         else:  # minranking
@@ -192,18 +199,18 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[TrialRow]:
 
     Results are a pure function of `spec`: per-trial seeds are derived
     from (seed, trial index), and worker outputs are merged by index, so
-    any worker count produces the same rows.  The ranking path draws its
-    per-trial sigma exactly as run_ranking_random does, and the IID paths
-    use the (2t, 2t+1) derivation of estimate_iid_ratio, so rows here can
-    be cross-checked against those summaries directly.
+    any worker count produces the same rows.  Ranking trial t draws its
+    sigma from derive_seed(seed, t); IID trial t samples its instance from
+    derive_seed(seed, 2t) and seeds its rule with derive_seed(seed, 2t + 1).
+    Workers are capped at the trial count and at os.cpu_count().
     """
     spec.validate()
     trials = 1 if spec.algorithm == "category-advice" else spec.trials
     d = spec.to_dict()
-    if workers <= 1 or trials == 1:
+    workers = min(workers, trials, os.cpu_count() or 1)
+    if workers <= 1:
         triples = _run_block(d, 0, trials)
     else:
-        workers = min(workers, trials)
         bounds = np.linspace(0, trials, workers + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_block, d, int(lo), int(hi))

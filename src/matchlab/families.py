@@ -53,6 +53,17 @@ class FamilyDescriptor:
         }
 
 
+def fibonacci_family_edges(k: int) -> int:
+    """Edge count of gen_fibonacci_family(k), without building it.
+
+    Level 1 has 3 edges; level l + 1 has F_{2l+2} (F_{2l+1} + 1) more.
+    """
+    if not 1 <= k <= 11:
+        raise ValueError("k must lie in 1..11 (desk-scale guard)")
+    return 3 + sum(fibonacci(2 * i + 2) * (fibonacci(2 * i + 1) + 1)
+                   for i in range(1, k))
+
+
 def gen_fibonacci_family(k: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
     """Level-k hard instance for multipass matching with category advice.
 
@@ -82,7 +93,7 @@ def gen_fibonacci_family(k: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
         adj = new_adj
         top, bot = a, b
     side = fibonacci(2 * k + 1)
-    g = BipartiteGraph(side, side, adj)
+    g = BipartiteGraph.from_rows(side, side, adj)
     if k == 1:
         on_blocks = {"U": (0, side)}
         off_blocks = {"V": (0, side)}
@@ -105,7 +116,7 @@ def gen_kvv_triangular(n: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
     if n < 1:
         raise ValueError("n must be positive")
     adj = [np.arange(i, n) for i in range(n)]
-    g = BipartiteGraph(n, n, adj)
+    g = BipartiteGraph.from_rows(n, n, adj)
     desc = FamilyDescriptor(
         family="kvv", params={"n": n},
         online_blocks={"U": (0, n)}, offline_blocks={"V": (0, n)},
@@ -136,7 +147,7 @@ def gen_besser_poloczek(b: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
         adj.append(np.concatenate([[i], np.arange(b2 + blk * b, b2 + (blk + 1) * b)]))
     for j in range(2 * b):       # S3 online: S1 offline + parallel partner
         adj.append(np.concatenate([np.arange(b2), [2 * b2 + j]]))
-    g = BipartiteGraph(side, side, adj)
+    g = BipartiteGraph.from_rows(side, side, adj)
     blocks = {"S1": (0, b2), "S2": (b2, 2 * b2), "S3": (2 * b2, side)}
     desc = FamilyDescriptor(
         family="besser_poloczek", params={"b": b},
@@ -157,7 +168,7 @@ def gen_h_graph(n: int, k: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
         raise ValueError("need n >= 1 and 0 <= k <= n")
     hub = np.arange(k)
     adj = [np.concatenate([hub, [k + i]]) for i in range(n)]
-    g = BipartiteGraph(n, k + n, adj)
+    g = BipartiteGraph.from_rows(n, k + n, adj)
     desc = FamilyDescriptor(
         family="hgraph", params={"n": n, "k": k},
         online_blocks={"U": (0, n)},
@@ -178,7 +189,7 @@ def gen_goel_mehta(L: int, N: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
         raise ValueError("L and N must be positive")
     n = L * N
     adj = [np.arange((u // L) * L, n) for u in range(n)]
-    g = BipartiteGraph(n, n, adj)
+    g = BipartiteGraph.from_rows(n, n, adj)
     on_blocks = {f"U{j}": ((j - 1) * L, j * L) for j in range(1, N + 1)}
     off_blocks = {f"V{i}": ((i - 1) * L, i * L) for i in range(1, N + 1)}
     desc = FamilyDescriptor(
@@ -236,7 +247,7 @@ def gen_min_degree_hard(L: int, N: int, K: int) -> tuple[BipartiteGraph, FamilyD
         row = np.concatenate(copies + [own])
         for _ in range(L):
             adj.append(row)
-    g = BipartiteGraph(n_online, n_offline, adj)
+    g = BipartiteGraph.from_rows(n_online, n_offline, adj)
     desc = FamilyDescriptor(
         family="min_degree_hard", params={"L": L, "N": N, "K": K},
         online_blocks={"copies": (0, ln * K), "gadgets": (ln * K, n_online)},

@@ -7,8 +7,9 @@ offline candidates.  The degree used by the minimum-degree rule is the
 static type-graph degree, frozen before any arrival: it never shrinks as
 offline vertices are consumed.
 
-Instances are never materialized as graphs except inside
-estimate_iid_ratio, which needs them to score the offline optimum.
+Decision rules are choosers for `online.arrival_pass`, which runs them
+over the type rows without materializing the instance; only the offline
+optimum needs the instance as a graph.
 """
 
 from __future__ import annotations
@@ -18,12 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from matchlab.analysis import TrialStats, trial_stats
 from matchlab.families import FamilyDescriptor
-from matchlab.graphs import BipartiteGraph, Matching, maximum_matching
-from matchlab.rng import derive_seed, make_rng
-
-IID_TIE_BREAKS = ("lowest-index", "max-index", "random")
+from matchlab.graphs import BipartiteGraph, Matching
+from matchlab.online import arrival_pass, tie_chooser
+from matchlab.rng import make_rng
 
 CONSISTENCY_MAX_ONLINE = 6
 
@@ -37,9 +36,7 @@ class TypeGraph:
 
     @classmethod
     def from_graph(cls, base: BipartiteGraph) -> "TypeGraph":
-        deg = base.offline_degrees.copy()
-        deg.flags.writeable = False
-        return cls(base=base, static_degree=deg)
+        return cls(base=base, static_degree=base.offline_degrees)  # read-only
 
     @property
     def n_types(self) -> int:
@@ -69,28 +66,13 @@ def sample_instance(tg: TypeGraph, seed: int) -> InstanceSample:
 
 def materialize_instance(tg: TypeGraph, inst: InstanceSample) -> BipartiteGraph:
     """Instance as a concrete graph; one online vertex per arrival."""
-    rows = [tg.base.neighbors(int(t)) for t in inst.draws]
-    return BipartiteGraph(len(rows), tg.n_offline, rows)
-
-
-def make_greedy_rule(tie_break: str = "lowest-index", seed: int | None = None):
-    """Decision rule: any active neighbor, picked by the tie policy."""
-    if tie_break not in IID_TIE_BREAKS:
-        raise ValueError(f"unknown tie_break {tie_break!r}")
-    if tie_break == "random":
-        if seed is None:
-            raise ValueError("random tie break needs a seed")
-        rng = make_rng(seed)
-
-        def choose(t: int, avail: np.ndarray, pos: int) -> int:
-            return int(avail[rng.integers(avail.size)])
-    elif tie_break == "lowest-index":
-        def choose(t: int, avail: np.ndarray, pos: int) -> int:
-            return int(avail[0])
-    else:
-        def choose(t: int, avail: np.ndarray, pos: int) -> int:
-            return int(avail[-1])
-    return choose
+    ptr, draws = tg.base.indptr, inst.draws
+    starts = ptr[draws]
+    degs = ptr[draws + 1] - starts
+    indptr = np.concatenate(([0], np.cumsum(degs)))
+    # edge e of arrival p sits at starts[p] + (e - indptr[p]) in the type CSR
+    gather = np.repeat(starts - indptr[:-1], degs) + np.arange(indptr[-1])
+    return BipartiteGraph(draws.size, tg.n_offline, indptr, tg.base.indices[gather])
 
 
 def make_min_degree_rule(tg: TypeGraph, tie_break: str = "lowest-index",
@@ -101,7 +83,7 @@ def make_min_degree_rule(tg: TypeGraph, tie_break: str = "lowest-index",
     largest-block rule under the generators' ascending block layout) or
     uniformly at random.
     """
-    inner = make_greedy_rule(tie_break, seed)
+    inner = tie_chooser(tie_break, seed)
     sd = tg.static_degree
 
     def choose(t: int, avail: np.ndarray, pos: int) -> int:
@@ -128,19 +110,7 @@ def run_rule(tg: TypeGraph, draws, choose) -> Matching:
     The matching's online side is indexed by arrival position.  Arrivals
     whose active neighborhood is empty are lost.
     """
-    active = np.ones(tg.n_offline, dtype=bool)
-    m = Matching(len(draws), tg.n_offline)
-    for pos, t in enumerate(draws):
-        nb = tg.base.neighbors(int(t))
-        if not nb.size:
-            continue
-        avail = nb[active[nb]]
-        if not avail.size:
-            continue
-        v = choose(int(t), avail, pos)
-        m.match(pos, v)
-        active[v] = False
-    return m
+    return Matching.from_partners(arrival_pass(tg.base, draws, choose), tg.n_offline)
 
 
 def run_min_degree(tg: TypeGraph, inst: InstanceSample,
@@ -154,7 +124,7 @@ def run_greedy_iid(tg: TypeGraph, inst: InstanceSample,
                    tie_break: str = "lowest-index",
                    seed: int | None = None) -> Matching:
     """Match each arrival to any active neighbor per the tie policy."""
-    return run_rule(tg, inst.draws, make_greedy_rule(tie_break, seed))
+    return run_rule(tg, inst.draws, tie_chooser(tie_break, seed))
 
 
 @dataclass
@@ -191,14 +161,10 @@ def check_consistency(tg: TypeGraph, rule_factory,
     for seq in itertools.product(range(n), repeat=n):
         sequences += 1
         choose = rule_factory()
-        active = np.ones(tg.n_offline, dtype=bool)
-        for pos, t in enumerate(seq):
-            nb = tg.base.neighbors(t)
-            avail = nb[active[nb]]
-            if not avail.size:
-                continue
+
+        def record(t, avail, pos):
             v = int(choose(t, avail, pos))
-            key = frozenset(int(x) for x in avail)
+            key = frozenset(avail.tolist())
             prev = seen.setdefault(t, {}).get(key)
             if prev is None:
                 seen[t][key] = (v, seq, pos)
@@ -207,7 +173,8 @@ def check_consistency(tg: TypeGraph, rule_factory,
                     "kind": "same-context", "type": t, "avail": sorted(key),
                     "matches": (prev[0], v),
                     "witness": (prev[1], prev[2], seq, pos)})
-            active[v] = False
+            return v
+        arrival_pass(tg.base, seq, record)
     contexts = 0
     for t, ctx in seen.items():
         keys = list(ctx)
@@ -226,41 +193,6 @@ def check_consistency(tg: TypeGraph, rule_factory,
                              violations=violations)
 
 
-@dataclass
-class IIDRatioEstimate:
-    """Trial-mean algorithm size over trial-mean optimum, with CIs."""
-
-    ratio: float
-    alg_stats: TrialStats
-    opt_stats: TrialStats
-    trials: int
-    seed: int
-
-
-def estimate_iid_ratio(tg: TypeGraph, algorithm, trials: int,
-                       seed: int) -> IIDRatioEstimate:
-    """Estimate E[alg] / E[opt] over IID instances.
-
-    algorithm(tg, inst, seed=...) -> Matching.  The optimum is scored on
-    the same sampled instances.  Per-trial seeds are derived from
-    (seed, trial), so trials can be replayed or partitioned freely.
-    """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    alg_sizes = np.empty(trials, dtype=np.int64)
-    opt_sizes = np.empty(trials, dtype=np.int64)
-    for t in range(trials):
-        inst = sample_instance(tg, derive_seed(seed, 2 * t))
-        m = algorithm(tg, inst, seed=derive_seed(seed, 2 * t + 1))
-        alg_sizes[t] = m.size
-        opt_sizes[t] = maximum_matching(materialize_instance(tg, inst)).size
-    alg_stats = trial_stats(alg_sizes, seed=seed)
-    opt_stats = trial_stats(opt_sizes, seed=seed)
-    return IIDRatioEstimate(ratio=alg_stats.mean / opt_stats.mean,
-                            alg_stats=alg_stats, opt_stats=opt_stats,
-                            trials=trials, seed=seed)
-
-
 def gadget_overflow_count(desc: FamilyDescriptor, inst: InstanceSample) -> int:
     """Number of gadgets whose arrivals exceed their offline capacity."""
     ranges = desc.extra.get("gadget_online")
@@ -268,8 +200,4 @@ def gadget_overflow_count(desc: FamilyDescriptor, inst: InstanceSample) -> int:
     if ranges is None or cap is None:
         raise ValueError("descriptor lacks gadget layout metadata")
     draws = inst.draws
-    overflowing = 0
-    for start, end in ranges:
-        if int(((draws >= start) & (draws < end)).sum()) > cap:
-            overflowing += 1
-    return overflowing
+    return sum(int(((draws >= lo) & (draws < hi)).sum()) > cap for lo, hi in ranges)

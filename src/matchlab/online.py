@@ -1,85 +1,84 @@
 """Single-pass and multipass online matching on a fixed arrival order.
 
 Arrivals are processed once each; an arrival is matched immediately to a
-free neighbor chosen by the tie-break policy, or left unmatched forever.
+free neighbor picked by a chooser, or left unmatched forever.  Every
+one-pass algorithm in the package (greedy, ranking, each pass of category
+advice, and the known-IID rules) is `arrival_pass` with its own chooser.
 The multipass variant reruns the same arrival order while refining the
 offline priority list from the categories collected in earlier passes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from matchlab.analysis import TrialStats, trial_stats
 from matchlab.graphs import BipartiteGraph, Matching, Permutation
-from matchlab.rng import derive_seed, make_rng
+from matchlab.rng import make_rng
 
 # Category value meaning "never matched so far"; strictly below every
 # finite category, which are -1, -2, ... down to -(number of passes).
 CATEGORY_NEG_INF = -(2 ** 62)
 
-GREEDY_TIE_BREAKS = ("lowest-index", "offline-rank", "max-index", "random")
+TIE_BREAKS = ("lowest-index", "max-index", "random")
 
 
-@dataclass
-class RunConfig:
-    """Bundle of run inputs used by the experiment layer."""
+def arrival_pass(g: BipartiteGraph, rows, choose) -> np.ndarray:
+    """Partner taken by each arrival of one pass (-1: lost).
 
-    arrival: Permutation | None = None
-    sigma: Permutation | None = None
-    tie_break: str = "lowest-index"
-    seed: int | None = None
+    rows[p] is the graph row arriving at position p.  Each arrival's free
+    neighbors `avail` (sorted, non-empty) go to choose(row, avail, p),
+    which returns one of them; arrivals with no free neighbor are lost.
+    """
+    ptr = g.indptr.tolist()
+    indices = g.indices
+    free = np.ones(g.n_offline, dtype=bool)
+    rows = np.asarray(rows, dtype=np.int64).tolist()
+    partner = np.full(len(rows), -1, dtype=np.int64)
+    for pos, r in enumerate(rows):
+        nb = indices[ptr[r]:ptr[r + 1]]
+        avail = nb[free[nb]]
+        if avail.size:
+            v = choose(r, avail, pos)
+            partner[pos] = v
+            free[v] = False
+    return partner
 
 
-def _arrival_or_identity(g: BipartiteGraph, arrival: Permutation | None) -> Permutation:
+def tie_chooser(tie_break: str = "lowest-index", seed: int | None = None):
+    """Chooser taking the first, the last or a uniform free neighbor.
+
+    "random" draws one integer per decision from a generator seeded once.
+    """
+    if tie_break not in TIE_BREAKS:
+        raise ValueError(f"unknown tie_break {tie_break!r}; "
+                         f"choose from {list(TIE_BREAKS)}")
+    if tie_break != "random":
+        end = 0 if tie_break == "lowest-index" else -1
+        return lambda r, avail, pos: avail[end]
+    if seed is None:
+        raise ValueError("random tie break needs a seed")
+    rng = make_rng(seed)
+    return lambda r, avail, pos: avail[rng.integers(avail.size)]
+
+
+def _online_pass(g: BipartiteGraph, arrival: Permutation | None, choose) -> Matching:
     if arrival is None:
-        return Permutation.identity(g.n_online)
-    if len(arrival) != g.n_online:
+        arrival = Permutation.identity(g.n_online)
+    elif len(arrival) != g.n_online:
         raise ValueError("arrival order size must equal n_online")
-    return arrival
+    partner = np.empty(g.n_online, dtype=np.int64)
+    partner[arrival.order] = arrival_pass(g, arrival.order, choose)
+    return Matching.from_partners(partner, g.n_offline)
 
 
 def run_greedy(g: BipartiteGraph, arrival: Permutation | None = None,
-               tie_break: str = "lowest-index", sigma: Permutation | None = None,
-               seed: int | None = None) -> Matching:
+               tie_break: str = "lowest-index", seed: int | None = None) -> Matching:
     """One greedy pass: match each arrival to a free neighbor if any.
 
-    tie_break picks among free neighbors: "lowest-index", "max-index",
-    "offline-rank" (minimize sigma's rank; equivalent to run_ranking),
-    or "random" (uniform per decision, seeded).
+    tie_break picks among free neighbors (see TIE_BREAKS); "random" is
+    uniform per decision and needs a seed.
     """
-    if tie_break not in GREEDY_TIE_BREAKS:
-        raise ValueError(f"unknown tie_break {tie_break!r}")
-    arrival = _arrival_or_identity(g, arrival)
-    if tie_break == "offline-rank":
-        if sigma is None:
-            raise ValueError("offline-rank tie break needs sigma")
-        return run_ranking(g, arrival, sigma)
-    rng = None
-    if tie_break == "random":
-        if seed is None:
-            raise ValueError("random tie break needs a seed")
-        rng = make_rng(seed)
-    free = np.ones(g.n_offline, dtype=bool)
-    m = Matching(g.n_online, g.n_offline)
-    for u in arrival.order:
-        nb = g.neighbors(u)
-        if not nb.size:
-            continue
-        f = nb[free[nb]]
-        if not f.size:
-            continue
-        if tie_break == "lowest-index":
-            v = int(f[0])
-        elif tie_break == "max-index":
-            v = int(f[-1])
-        else:
-            v = int(f[rng.integers(f.size)])
-        m.match(int(u), v)
-        free[v] = False
-    return m
+    return _online_pass(g, arrival, tie_chooser(tie_break, seed))
 
 
 def run_ranking(g: BipartiteGraph, arrival: Permutation | None,
@@ -88,41 +87,10 @@ def run_ranking(g: BipartiteGraph, arrival: Permutation | None,
 
     sigma ranks the offline side; lower rank wins.
     """
-    arrival = _arrival_or_identity(g, arrival)
     if len(sigma) != g.n_offline:
         raise ValueError("sigma size must equal n_offline")
     rank = sigma.rank
-    free = np.ones(g.n_offline, dtype=bool)
-    m = Matching(g.n_online, g.n_offline)
-    for u in arrival.order:
-        nb = g.neighbors(u)
-        if not nb.size:
-            continue
-        f = nb[free[nb]]
-        if not f.size:
-            continue
-        v = int(f[np.argmin(rank[f])])
-        m.match(int(u), v)
-        free[v] = False
-    return m
-
-
-def run_ranking_random(g: BipartiteGraph, arrival: Permutation | None,
-                       trials: int, seed: int) -> TrialStats:
-    """Matching sizes of run_ranking over uniformly drawn sigma.
-
-    Per-trial seeds are derived from (seed, trial), so results do not
-    depend on execution order.
-    """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    arrival = _arrival_or_identity(g, arrival)
-    sizes = np.empty(trials, dtype=np.int64)
-    for t in range(trials):
-        rng = make_rng(derive_seed(seed, t))
-        sigma = Permutation.random(g.n_offline, rng)
-        sizes[t] = run_ranking(g, arrival, sigma).size
-    return trial_stats(sizes, seed=seed)
+    return _online_pass(g, arrival, lambda r, avail, pos: avail[np.argmin(rank[avail])])
 
 
 def refine_sigma(sigma: Permutation, categories) -> Permutation:
@@ -151,11 +119,9 @@ def run_category_advice(g: BipartiteGraph, arrival: Permutation | None = None,
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    arrival = _arrival_or_identity(g, arrival)
     base = Permutation.identity(g.n_offline)
     cat = np.full(g.n_offline, CATEGORY_NEG_INF, dtype=np.int64)
     sizes: list[int] = []
-    m = Matching(g.n_online, g.n_offline)
     for i in range(1, k + 1):
         sigma_c = refine_sigma(base, cat)
         m = run_ranking(g, arrival, sigma_c)

@@ -195,11 +195,11 @@ def _consistency_catalogue():
             subsets = [list(c) for r in range(nv + 1)
                        for c in itertools.combinations(range(nv), r)]
             for rows in itertools.product(subsets, repeat=nu):
-                graphs.append(BipartiteGraph(nu, nv, list(rows)))
-    graphs.append(BipartiteGraph(4, 4, [[0, 1, 2, 3]] * 4))
-    graphs.append(BipartiteGraph(4, 4, [[i] for i in range(4)]))
+                graphs.append(BipartiteGraph.from_rows(nu, nv, list(rows)))
+    graphs.append(BipartiteGraph.from_rows(4, 4, [[0, 1, 2, 3]] * 4))
+    graphs.append(BipartiteGraph.from_rows(4, 4, [[i] for i in range(4)]))
     graphs.append(gen_kvv_triangular(4)[0])
-    graphs.append(BipartiteGraph(4, 4, [[0, 1, 2, 3], [0], [1], [2]]))
+    graphs.append(BipartiteGraph.from_rows(4, 4, [[0, 1, 2, 3], [0], [1], [2]]))
     rng = np.random.default_rng(derive_seed(SEED, 1100))
     graphs.extend(random_bipartite(4, 4, 0.5, rng) for _ in range(200))
     return graphs

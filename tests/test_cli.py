@@ -7,8 +7,11 @@ import sys
 
 import pytest
 
-from matchlab import cli
-from matchlab.experiments import REPRODUCTIONS, ReproduceResult
+from matchlab import cli, experiments
+from matchlab.experiments import (REPRODUCTIONS, ExperimentSpec,
+                                  ReproduceResult, run_experiment)
+
+from test_graphs import MALFORMED_GRAPH_DOCS
 
 HEADER = "family,params,algorithm,seed,trial,alg_size,opt_size,ratio"
 
@@ -92,6 +95,46 @@ def test_oracle_prints_the_maximum_matching_size(tmp_path):
     res = run_cli("oracle", str(out))
     assert res.returncode == 0
     assert res.stdout.strip() == "12"  # 2b^2 + 2b at b=2
+
+
+@pytest.mark.parametrize("doc", MALFORMED_GRAPH_DOCS)
+def test_oracle_rejects_malformed_graphs_with_one_line(tmp_path, capsys, doc):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["oracle", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("matchlab: error:") and err.count("\n") == 1
+
+
+def test_workers_are_capped_at_trials_and_cpu_count(monkeypatch):
+    asked = []
+
+    class NoPool:  # records the pool size and starts nothing
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+            raise RuntimeError("pool not started")
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for trials in (100_000, 2):
+        spec = ExperimentSpec("kvv", {"n": 2}, "ranking", trials=trials)
+        with pytest.raises(RuntimeError):
+            run_experiment(spec, workers=100_000)
+    assert asked == [3, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert len(run_experiment(spec, workers=100_000)) == 2  # no pool at all
+
+
+def test_generate_refuses_families_above_the_edge_cap(monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "MAX_EDGES", 200)
+    assert cli.main(["generate", "kvv", "n=20"]) == 1  # 210 edges
+    out, err = capsys.readouterr()
+    assert out == "" and "210 edges, above the cap of 200" in err
+    assert cli.main(["generate", "kvv", "n=19"]) == 0  # 190 edges
+    capsys.readouterr()
+    # the padded family's slack needs L as a float, which overflows here
+    assert cli.main(["generate", "mindegreehard", f"L={10 ** 400}", "N=1", "K=1"]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_environment_variable_supplies_the_default_seed():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from matchlab.experiments import FAMILY_BUILDERS, MAX_EDGES, build_family
 from matchlab.families import (MAX_FIB_INDEX, fibonacci, gadget_slack,
                                gen_besser_poloczek, gen_fibonacci_family,
                                gen_goel_mehta, gen_h_graph,
@@ -217,3 +218,22 @@ def test_descriptor_serialization_round_trips_block_maps():
     assert d["params"] == {"L": 2, "N": 3}
     assert d["online_blocks"]["U1"] == [0, 2]
     assert d["expected_opt"] == 6
+
+
+@pytest.mark.parametrize("family,params", [
+    ("fibonacci", {"k": 1}), ("fibonacci", {"k": 5}), ("kvv", {"n": 7}),
+    ("bp", {"b": 3}), ("hgraph", {"n": 5, "k": 2}), ("hgraph", {"n": 3, "k": 0}),
+    ("goelmehta", {"L": 2, "N": 3}), ("mindegreehard", {"L": 3, "N": 2, "K": 2}),
+])
+def test_edge_count_formula_matches_the_built_graph(family, params):
+    _, names, edges = FAMILY_BUILDERS[family]
+    g, _ = build_family(family, params)
+    assert edges(*(params[p] for p in names)) == g.n_edges
+
+
+def test_edge_cap_covers_the_benchmark_graphs_and_refuses_huge_ones():
+    edges = {name: entry[2] for name, entry in FAMILY_BUILDERS.items()}
+    assert edges["bp"](100) == 5_020_200  # the largest benchmark graph
+    assert MAX_EDGES >= 10 * edges["bp"](100)
+    assert edges["kvv"](10 ** 6) == 500_000_500_000 > MAX_EDGES
+    assert edges["fibonacci"](10) < MAX_EDGES < edges["fibonacci"](11)

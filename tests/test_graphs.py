@@ -20,7 +20,7 @@ def _fuzz_graph(index, max_online=10, max_offline=10, p=0.35):
 
 
 def test_rows_are_sorted_read_only_views():
-    g = BipartiteGraph(2, 4, [[3, 0, 2], [1]])
+    g = BipartiteGraph.from_rows(2, 4, [[3, 0, 2], [1]])
     assert g.neighbors(0).tolist() == [0, 2, 3]
     with pytest.raises(ValueError):
         g.neighbors(0)[0] = 1
@@ -28,19 +28,25 @@ def test_rows_are_sorted_read_only_views():
 
 def test_constructor_rejects_bad_rows():
     with pytest.raises(ValueError):
-        BipartiteGraph(1, 2, [[2]])          # out of range
+        BipartiteGraph.from_rows(1, 2, [[2]])      # out of range
     with pytest.raises(ValueError):
-        BipartiteGraph(1, 2, [[-1]])
+        BipartiteGraph.from_rows(1, 2, [[-1]])
     with pytest.raises(ValueError):
-        BipartiteGraph(1, 2, [[0, 0]])       # duplicate edge
+        BipartiteGraph.from_rows(1, 2, [[0, 0]])   # duplicate edge
     with pytest.raises(ValueError):
-        BipartiteGraph(2, 2, [[0]])          # row count mismatch
+        BipartiteGraph.from_rows(2, 2, [[0]])      # row count mismatch
     with pytest.raises(ValueError):
-        BipartiteGraph(-1, 2, [])
+        BipartiteGraph.from_rows(-1, 2, [])
+    with pytest.raises(ValueError):
+        BipartiteGraph(1, 2, [0, 1], [0.5])        # non-integer id
+    with pytest.raises(ValueError):
+        BipartiteGraph(2, 2, [0, 2, 1], [0, 1])    # indptr falls
+    with pytest.raises(ValueError):
+        BipartiteGraph(1, 3, [0, 2], [2, 1])       # row not increasing
 
 
 def test_degree_tables_and_edge_queries():
-    g = BipartiteGraph(3, 3, [[0, 1], [1], []])
+    g = BipartiteGraph.from_rows(3, 3, [[0, 1], [1], []])
     assert g.online_degrees.tolist() == [2, 1, 0]
     assert g.offline_degrees.tolist() == [1, 2, 0]
     assert g.has_edge(0, 1) and not g.has_edge(2, 0) and not g.has_edge(1, 2)
@@ -60,11 +66,30 @@ def test_both_side_indexes_agree_on_fuzz_graphs():
 
 def test_adjacency_roundtrip_and_equality():
     g = _fuzz_graph(999, max_online=8)
-    h = BipartiteGraph(g.n_online, g.n_offline, g.adjacency())
+    h = BipartiteGraph.from_rows(g.n_online, g.n_offline, g.adjacency())
     assert g == h
     assert graph_from_dict(graph_to_dict(g)) == g
     with pytest.raises(ValueError):
         graph_from_dict({"n_online": 1, "adj": [[0]]})
+    empty_rows = graph_from_dict({"n_online": 2, "n_offline": 1, "adj": [[], [0]]})
+    assert empty_rows.adjacency() == [[], [0]]
+
+
+MALFORMED_GRAPH_DOCS = [
+    {"n_online": 1, "n_offline": 2, "adj": [[0.9]]},     # float id
+    {"n_online": 1, "n_offline": 2, "adj": [[True]]},    # bool id
+    {"n_online": 1.0, "n_offline": 2, "adj": [[0]]},     # float count
+    {"n_online": 1, "n_offline": "2", "adj": [[0]]},     # string count
+    [[0]],                                               # not an object
+    {"n_online": 1, "n_offline": 2, "adj": None},
+    {"n_online": 1, "n_offline": 2, "adj": [0]},         # rows not lists
+]
+
+
+@pytest.mark.parametrize("doc", MALFORMED_GRAPH_DOCS)
+def test_graph_from_dict_rejects_malformed_documents(doc):
+    with pytest.raises(ValueError):
+        graph_from_dict(doc)
 
 
 def test_matching_bookkeeping():
@@ -80,7 +105,7 @@ def test_matching_bookkeeping():
 
 
 def test_verify_matching_accepts_valid_and_rejects_tampered():
-    g = BipartiteGraph(2, 2, [[0, 1], [0]])
+    g = BipartiteGraph.from_rows(2, 2, [[0, 1], [0]])
     m = Matching(2, 2)
     m.match(0, 1)
     m.match(1, 0)
@@ -132,12 +157,12 @@ def test_brute_force_size_guard():
 
 
 def test_empty_and_degenerate_graphs():
-    empty = BipartiteGraph(0, 3, [])
+    empty = BipartiteGraph.from_rows(0, 3, [])
     assert maximum_matching(empty).size == 0
     assert brute_force_maximum_matching(empty).size == 0
-    no_edges = BipartiteGraph(3, 3, [[], [], []])
+    no_edges = BipartiteGraph.from_rows(3, 3, [[], [], []])
     assert maximum_matching(no_edges).size == 0
-    single = BipartiteGraph(1, 1, [[0]])
+    single = BipartiteGraph.from_rows(1, 1, [[0]])
     assert maximum_matching(single).size == 1
 
 

@@ -5,21 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from matchlab.families import gen_goel_mehta, gen_h_graph, gen_min_degree_hard
+from matchlab.experiments import ExperimentSpec, run_experiment
+from matchlab.families import gen_h_graph, gen_min_degree_hard
 from matchlab.graphs import BipartiteGraph, maximum_matching, verify_matching
 from matchlab.iid import (CONSISTENCY_MAX_ONLINE, TypeGraph, check_consistency,
-                          estimate_iid_ratio, gadget_overflow_count,
-                          make_greedy_rule, make_min_degree_rule,
+                          gadget_overflow_count, make_min_degree_rule,
                           materialize_instance, parity_control_chooser,
                           run_greedy_iid, run_min_degree, run_rule,
                           sample_instance)
+from matchlab.online import tie_chooser
 from matchlab.rng import derive_seed, make_rng
 
 SEED = 40320
 
 
 def _tg(adj, n_offline):
-    return TypeGraph.from_graph(BipartiteGraph(len(adj), n_offline, adj))
+    return TypeGraph.from_graph(BipartiteGraph.from_rows(len(adj), n_offline, adj))
 
 
 def _identity_tg(n):
@@ -94,13 +95,13 @@ def test_tie_rules_coincide_when_all_degrees_differ():
 
 def test_greedy_rule_tie_rules_and_guards():
     avail = np.array([2, 5, 9])
-    assert make_greedy_rule("lowest-index")(0, avail, 0) == 2
-    assert make_greedy_rule("max-index")(0, avail, 0) == 9
+    assert tie_chooser("lowest-index")(0, avail, 0) == 2
+    assert tie_chooser("max-index")(0, avail, 0) == 9
     with pytest.raises(ValueError):
-        make_greedy_rule("random")          # seed required
+        tie_chooser("random")          # seed required
     with pytest.raises(ValueError):
-        make_greedy_rule("first-come")
-    rule = make_greedy_rule("random", seed=4)
+        tie_chooser("first-come")
+    rule = tie_chooser("random", seed=4)
     assert int(rule(0, avail, 0)) in {2, 5, 9}
 
 
@@ -164,7 +165,7 @@ def test_consistency_holds_for_index_and_degree_rules():
         _tg([[0, 1]], 2),
     ]
     for tg in graphs:
-        for factory in (lambda: make_greedy_rule("lowest-index"),
+        for factory in (lambda: tie_chooser("lowest-index"),
                         lambda tg=tg: make_min_degree_rule(tg),
                         lambda tg=tg: make_min_degree_rule(tg, "max-index")):
             report = check_consistency(tg, factory)
@@ -194,22 +195,24 @@ def test_consistency_is_vacuous_for_single_type_graphs():
 
 
 def test_ratio_estimate_is_one_on_parallel_graphs():
-    tg = _identity_tg(4)
-    est = estimate_iid_ratio(tg, run_greedy_iid, trials=40, seed=SEED)
-    assert est.ratio == 1.0
-    assert est.alg_stats.mean == est.opt_stats.mean
-    one = estimate_iid_ratio(_identity_tg(1), run_min_degree, trials=10, seed=1)
-    assert one.ratio == 1.0 and one.alg_stats.variance == 0.0
+    # each type owns one offline vertex, so every rule reaches the optimum
+    for n, algo in ((4, run_greedy_iid), (1, run_min_degree)):
+        tg = _identity_tg(n)
+        for t in range(40):
+            inst = sample_instance(tg, derive_seed(SEED, 2 * t))
+            m = algo(tg, inst, tie_break="random", seed=derive_seed(SEED, 2 * t + 1))
+            assert m.size == maximum_matching(materialize_instance(tg, inst)).size
+            assert n > 1 or m.size == 1
     with pytest.raises(ValueError):
-        estimate_iid_ratio(tg, run_greedy_iid, trials=0, seed=1)
+        run_experiment(ExperimentSpec("goelmehta", {"L": 1, "N": 4},
+                                      "greedy-iid", trials=0))
 
 
 def test_ratio_estimate_replays_per_seed():
-    g, _ = gen_goel_mehta(2, 3)
-    tg = TypeGraph.from_graph(g)
-    a = estimate_iid_ratio(tg, run_min_degree, trials=25, seed=77)
-    b = estimate_iid_ratio(tg, run_min_degree, trials=25, seed=77)
-    assert a.ratio == b.ratio and a.alg_stats.mean == b.alg_stats.mean
+    spec = ExperimentSpec("goelmehta", {"L": 2, "N": 3}, "mindegree",
+                          trials=25, seed=77, tie_break="random")
+    a = run_experiment(spec)
+    assert a == run_experiment(spec)
 
 
 def test_gadget_overflow_counting():

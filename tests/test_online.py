@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from matchlab.families import fibonacci, gen_fibonacci_family, gen_kvv_triangular
+from matchlab.analysis import trial_stats
+from matchlab.experiments import ExperimentSpec, run_experiment
+from matchlab.families import fibonacci, gen_fibonacci_family
 from matchlab.graphs import (BipartiteGraph, Matching, Permutation,
                              maximum_matching, random_bipartite,
                              verify_matching)
-from matchlab.online import (CATEGORY_NEG_INF, GREEDY_TIE_BREAKS,
-                             refine_sigma, run_category_advice, run_greedy,
-                             run_ranking, run_ranking_random)
+from matchlab.online import (CATEGORY_NEG_INF, TIE_BREAKS, refine_sigma,
+                             run_category_advice, run_greedy, run_ranking)
 from matchlab.rng import derive_seed, make_rng
 
 SEED = 90125
@@ -17,7 +18,7 @@ SEED = 90125
 
 def _base_case():
     # two online, two offline: u0 sees both, u1 only the first
-    return BipartiteGraph(2, 2, [[0, 1], [0]])
+    return BipartiteGraph.from_rows(2, 2, [[0, 1], [0]])
 
 
 def _is_maximal(g, m):
@@ -39,33 +40,32 @@ def test_greedy_lowest_index_blocks_the_base_case():
 
 def test_greedy_on_bicliques_is_perfect():
     n = 9
-    g = BipartiteGraph(n, n, [list(range(n))] * n)
+    g = BipartiteGraph.from_rows(n, n, [list(range(n))] * n)
     for tie in ("lowest-index", "max-index"):
         assert run_greedy(g, tie_break=tie).size == n
 
 
 def test_greedy_path_case_matches_both():
-    g = BipartiteGraph(2, 2, [[0], [0, 1]])
+    g = BipartiteGraph.from_rows(2, 2, [[0], [0, 1]])
     m = run_greedy(g)
     assert m.size == 2 and m.pairs() == [(0, 0), (1, 1)]
 
 
 def test_greedy_tie_rules_and_validation():
-    g = BipartiteGraph(1, 3, [[0, 1, 2]])
+    g = BipartiteGraph.from_rows(1, 3, [[0, 1, 2]])
     assert run_greedy(g, tie_break="lowest-index").pairs() == [(0, 0)]
     assert run_greedy(g, tie_break="max-index").pairs() == [(0, 2)]
     sigma = Permutation([1, 2, 0])   # vertex 1 carries the best rank
-    assert run_greedy(g, tie_break="offline-rank", sigma=sigma).pairs() == [(0, 1)]
+    assert run_ranking(g, None, sigma).pairs() == [(0, 1)]
     with pytest.raises(ValueError):
         run_greedy(g, tie_break="random")        # seed required
     with pytest.raises(ValueError):
-        run_greedy(g, tie_break="offline-rank")  # sigma required
+        run_greedy(g, tie_break="offline-rank")  # ranking is run_ranking
     with pytest.raises(ValueError):
         run_greedy(g, tie_break="coin-flip")
     m = run_greedy(g, tie_break="random", seed=5)
     assert m == run_greedy(g, tie_break="random", seed=5)
-    assert set(GREEDY_TIE_BREAKS) == {"lowest-index", "offline-rank",
-                                      "max-index", "random"}
+    assert TIE_BREAKS == ("lowest-index", "max-index", "random")
 
 
 def test_ranking_priority_order_decides_the_base_case():
@@ -88,22 +88,27 @@ def test_ranking_output_is_always_a_maximal_matching():
         assert _is_maximal(g, m)
 
 
+def _ranking_sizes(family, params, trials, seed):
+    rows = run_experiment(ExperimentSpec(family, params, "ranking",
+                                         trials=trials, seed=seed))
+    return trial_stats([r.alg_size for r in rows])
+
+
 def test_ranking_random_two_vertex_expectation():
     # two equally likely priority lists: one matches both, one matches one
-    g, _ = gen_kvv_triangular(2)
-    stats = run_ranking_random(g, None, trials=4000, seed=SEED)
+    stats = _ranking_sizes("kvv", {"n": 2}, 4000, SEED)
     assert abs(stats.mean - 1.5) <= 3 * stats.stderr
     assert stats.count == 4000
 
 
 def test_ranking_random_is_exact_on_bicliques_and_deterministic():
-    g = BipartiteGraph(4, 4, [list(range(4))] * 4)
-    stats = run_ranking_random(g, None, trials=64, seed=3)
+    # one block of the staircase family is the biclique K_{4,4}
+    stats = _ranking_sizes("goelmehta", {"L": 4, "N": 1}, 64, 3)
     assert stats.mean == 4.0 and stats.variance == 0.0
-    again = run_ranking_random(g, None, trials=64, seed=3)
+    again = _ranking_sizes("goelmehta", {"L": 4, "N": 1}, 64, 3)
     assert stats.mean == again.mean and stats.ci == again.ci
     with pytest.raises(ValueError):
-        run_ranking_random(g, None, trials=0, seed=3)
+        _ranking_sizes("goelmehta", {"L": 4, "N": 1}, 0, 3)
 
 
 def test_refine_sigma_defining_property_holds_pairwise():

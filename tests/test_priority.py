@@ -40,11 +40,11 @@ def test_min_ranking_perfect_on_triangular_graphs():
 
 
 def test_min_algorithms_trivial_cases():
-    single = BipartiteGraph(1, 1, [[0]])
+    single = BipartiteGraph.from_rows(1, 1, [[0]])
     assert run_min_greedy(single, 0).size == 1
     assert run_min_ranking(single, 0).size == 1
     n = 7
-    biclique = BipartiteGraph(n, n, [list(range(n))] * n)
+    biclique = BipartiteGraph.from_rows(n, n, [list(range(n))] * n)
     assert run_min_greedy(biclique, 3).size == n
     assert run_min_ranking(biclique, 3).size == n
 
@@ -62,7 +62,7 @@ def test_min_algorithms_are_valid_maximal_and_deterministic():
 
 
 def test_isolated_vertices_consume_iterations_but_never_match():
-    g = BipartiteGraph(3, 2, [[0], [], [0, 1]])
+    g = BipartiteGraph.from_rows(3, 2, [[0], [], [0, 1]])
     states = []
     m = run_min_greedy(g, 12, on_step=states.append)
     assert len(states) == g.n_online      # one selection per online vertex
