@@ -3,21 +3,20 @@
 Graphs are immutable once constructed and stored in compressed sparse row
 form: online vertex u sees offline vertices indices[indptr[u]:indptr[u+1]],
 strictly increasing.  The transposed (CSC) arrays index the offline side
-the same way.  Online vertices are indexed 0..n_online-1 and offline
-vertices 0..n_offline-1.
+the same way and are built on first use.  Online vertices are indexed
+0..n_online-1 and offline vertices 0..n_offline-1.
 
 Two maximum-matching routes are kept deliberately separate: a fast
-Hopcroft-Karp oracle (scipy backend) used everywhere, and an independent
-exhaustive-search oracle used to cross-check it on small instances.
+Hopcroft-Karp oracle (scipy, imported on first use) used everywhere, and
+an independent exhaustive-search oracle to cross-check it on small ones.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 BRUTE_FORCE_MAX_ONLINE = 12
 
@@ -64,13 +63,22 @@ class BipartiteGraph:
         self.n_edges = int(indices.size)
         self.online_degrees = np.diff(indptr)
         self.offline_degrees = np.bincount(indices, minlength=n_offline)
-        # CSC: offline -> sorted online neighbors; a stable sort keeps rows in order
-        order = np.argsort(indices, kind="stable")
-        self.indptr_offline = np.concatenate(([0], np.cumsum(self.offline_degrees)))
-        self.indices_offline = np.repeat(np.arange(n_online), self.online_degrees)[order]
-        for a in (self.online_degrees, self.indptr, self.indices,
-                  self.offline_degrees, self.indptr_offline, self.indices_offline):
+        for a in (self.online_degrees, self.indptr, self.indices, self.offline_degrees):
             a.flags.writeable = False
+
+    @cached_property
+    def indptr_offline(self) -> np.ndarray:
+        a = np.concatenate(([0], np.cumsum(self.offline_degrees)))
+        a.flags.writeable = False
+        return a
+
+    @cached_property
+    def indices_offline(self) -> np.ndarray:
+        # CSC: offline -> sorted online neighbors; a stable sort keeps rows in order
+        order = np.argsort(self.indices, kind="stable")
+        a = np.repeat(np.arange(self.n_online), self.online_degrees)[order]
+        a.flags.writeable = False
+        return a
 
     @classmethod
     def from_rows(cls, n_online: int, n_offline: int, rows) -> "BipartiteGraph":
@@ -103,7 +111,9 @@ class BipartiteGraph:
         ptr = self.indptr.tolist()
         return [self.indices[a:b].tolist() for a, b in zip(ptr[:-1], ptr[1:])]
 
-    def to_csr(self) -> csr_matrix:
+    def to_csr(self):
+        """The adjacency as a scipy.sparse.csr_matrix of int8 ones."""
+        from scipy.sparse import csr_matrix
         data = np.ones(self.n_edges, dtype=np.int8)
         return csr_matrix((data, self.indices, self.indptr),
                           shape=(self.n_online, self.n_offline))
@@ -228,6 +238,7 @@ def maximum_matching(g: BipartiteGraph) -> Matching:
     """
     if g.n_online == 0 or g.n_offline == 0 or g.n_edges == 0:
         return Matching(g.n_online, g.n_offline)
+    from scipy.sparse.csgraph import maximum_bipartite_matching
     row_match = maximum_bipartite_matching(g.to_csr(), perm_type="column")
     return Matching.from_partners(row_match, g.n_offline)
 
@@ -297,9 +308,11 @@ def graph_from_dict(d: dict) -> BipartiteGraph:
         n_online, n_offline, adj = d["n_online"], d["n_offline"], d["adj"]
     except KeyError as e:
         raise ValueError(f"graph dict missing key {e}") from e
+    # bool is an int subclass, so bools are refused by name and ids by exact type
+    if isinstance(n_online, bool) or isinstance(n_offline, bool):
+        raise ValueError("vertex counts must be integers")
     if not isinstance(adj, list) or not all(isinstance(r, list) for r in adj):
         raise ValueError("adj must be a list of lists")
-    # bool is an int subclass, so the type is compared exactly
     if any(type(v) is not int for r in adj for v in r):
         raise ValueError("vertex ids must be integers")
     return BipartiteGraph.from_rows(n_online, n_offline, adj)

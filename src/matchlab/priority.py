@@ -10,6 +10,7 @@ given order; it is the analysis-friendly twin of the priority-list variant.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,21 +51,23 @@ def _min_degree_loop(g: BipartiteGraph, rng: np.random.Generator | None,
     rng=None selects the lowest-index minimum-degree vertex instead of a
     uniform one (the deterministic variant used by equivalence tests).
     Isolated vertices are deleted unmatched, consuming one iteration.
+
+    cands (sorted alive vertices of minimum degree d) follows the degrees
+    each match lowers; all degrees are rescanned only when it runs empty.
     """
     curdeg = g.online_degrees.astype(np.int64).copy()
     alive_v = np.ones(g.n_offline, dtype=bool)
     m = Matching(g.n_online, g.n_offline)
+    d, cands = 0, []
     for step in range(g.n_online):
         if on_step is not None:
             on_step(LiveState(step, curdeg, alive_v))
-        d = curdeg.min()
-        if rng is None:
-            u = int(np.argmin(curdeg))
-        else:
-            cands = np.flatnonzero(curdeg == d)
-            u = int(cands[rng.integers(cands.size)])
+        if not cands:
+            d = int(curdeg.min())
+            cands = np.flatnonzero(curdeg == d).tolist()
+        u = cands.pop(0 if rng is None else rng.integers(len(cands)))
+        curdeg[u] = _DEAD
         if d == 0:
-            curdeg[u] = _DEAD
             continue
         nb = g.neighbors(u)
         f = nb[alive_v[nb]]
@@ -72,8 +75,16 @@ def _min_degree_loop(g: BipartiteGraph, rng: np.random.Generator | None,
         v = int(pick(f, rng))
         m.match(u, v)
         alive_v[v] = False
-        curdeg[u] = _DEAD
-        curdeg[g.offline_neighbors(v)] -= 1
+        ws = g.offline_neighbors(v)
+        curdeg[ws] -= 1
+        nd = curdeg[ws]
+        low = ws[nd < d]  # alive vertices that were in cands, now at d - 1
+        if low.size:
+            d -= 1
+            cands = low.tolist()
+        else:
+            for w in ws[nd == d].tolist():
+                insort(cands, w)
     return m
 
 

@@ -106,6 +106,19 @@ def test_oracle_rejects_malformed_graphs_with_one_line(tmp_path, capsys, doc):
     assert out == "" and err.startswith("matchlab: error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("args", [["-c", "import matchlab.cli"],
+                                  ["-m", "matchlab.cli", "--help"]])
+def test_import_and_help_leave_scipy_unimported(args):
+    # -X importtime lists every module a fresh interpreter imports
+    res = subprocess.run([sys.executable, "-X", "importtime", *args],
+                         capture_output=True, text=True)
+    assert res.returncode == 0
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in res.stderr.splitlines() if line.startswith("import time:")]
+    assert "matchlab.graphs" in imported
+    assert not [m for m in imported if m.partition(".")[0] == "scipy"]
+
+
 def test_workers_are_capped_at_trials_and_cpu_count(monkeypatch):
     asked = []
 

@@ -83,6 +83,7 @@ MALFORMED_GRAPH_DOCS = [
     [[0]],                                               # not an object
     {"n_online": 1, "n_offline": 2, "adj": None},
     {"n_online": 1, "n_offline": 2, "adj": [0]},         # rows not lists
+    {"n_online": True, "n_offline": 1, "adj": [[0]]},    # bool count
 ]
 
 

@@ -1,19 +1,26 @@
-"""Property-based checks of the CSR graph and the arrival-pass kernel.
+"""Property-based checks of the CSR graph, the arrival-pass kernel and
+the min-degree loop.
 
 Examples are derandomized and few, so every run draws the same graphs.
 """
 
 import json
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchlab.graphs import (BipartiteGraph, Permutation, graph_from_dict,
-                             graph_to_dict, verify_matching)
+from matchlab import priority
+from matchlab.graphs import (BipartiteGraph, Matching, Permutation,
+                             graph_from_dict, graph_to_dict, maximum_matching,
+                             verify_matching)
 from matchlab.iid import (TypeGraph, make_min_degree_rule,
                           materialize_instance, run_rule, sample_instance)
 from matchlab.online import TIE_BREAKS, run_greedy, run_ranking, tie_chooser
+from matchlab.priority import (LiveState, run_min_greedy, run_min_ranking,
+                               run_min_ranking_fixed)
+from matchlab.rng import make_rng
 
 SETTINGS = settings(max_examples=60, derandomize=True, deadline=None,
                     database=None)
@@ -49,10 +56,17 @@ def test_from_rows_sorts_shuffled_rows(case):
 def test_csc_arrays_are_the_transpose(case):
     n_online, n_offline, rows = case
     g = BipartiteGraph.from_rows(n_online, n_offline, rows)
+    # the oracle and the arrival pass read only CSR, so CSC is still unbuilt
+    maximum_matching(g)
+    run_ranking(g, Permutation.identity(n_online), Permutation.identity(n_offline))
+    assert "indices_offline" not in vars(g)
     for v in range(n_offline):
         naive = [u for u in range(n_online) if v in rows[u]]
         assert g.offline_neighbors(v).tolist() == naive
         assert g.offline_degrees[v] == len(naive)
+    for a in (g.indptr, g.indices, g.online_degrees, g.offline_degrees,
+              g.indptr_offline, g.indices_offline):
+        assert not a.flags.writeable
 
 
 @SETTINGS
@@ -80,3 +94,62 @@ def test_every_chooser_yields_a_maximal_matching(case, random, seed):
             for choose in (tie_chooser(tie, seed), make_min_degree_rule(tg, tie, seed)):
                 m = run_rule(tg, inst.draws, choose)
                 assert verify_matching(gi, m) and _is_maximal(gi, m)
+
+
+def _full_scan_min_degree_loop(g, rng, pick, on_step=None):
+    """Reference min-degree loop: scans every degree at every step."""
+    curdeg = g.online_degrees.astype(np.int64).copy()
+    alive_v = np.ones(g.n_offline, dtype=bool)
+    m = Matching(g.n_online, g.n_offline)
+    for step in range(g.n_online):
+        if on_step is not None:
+            on_step(LiveState(step, curdeg, alive_v))
+        d = curdeg.min()
+        if rng is None:
+            u = int(np.argmin(curdeg))
+        else:
+            cands = np.flatnonzero(curdeg == d)
+            u = int(cands[rng.integers(cands.size)])
+        if d == 0:
+            curdeg[u] = priority._DEAD
+            continue
+        nb = g.neighbors(u)
+        f = nb[alive_v[nb]]
+        assert f.size == d
+        v = int(pick(f, rng))
+        m.match(u, v)
+        alive_v[v] = False
+        curdeg[u] = priority._DEAD
+        curdeg[g.offline_neighbors(v)] -= 1
+    return m
+
+
+def _traced_min_degree_run(run, loop):
+    """(matching, curdeg snapshots, final generator states) of run(on_step)."""
+    rngs, snapshots = [], []
+
+    def recording_make_rng(seed):
+        rngs.append(make_rng(seed))
+        return rngs[-1]
+
+    with mock.patch.object(priority, "_min_degree_loop", loop), \
+            mock.patch.object(priority, "make_rng", recording_make_rng):
+        m = run(lambda state: snapshots.append(state.curdeg.copy()))
+    return m, snapshots, [r.bit_generator.state for r in rngs]
+
+
+@SETTINGS
+@given(shuffled_rows(), st.randoms(use_true_random=False), st.integers(0, 2 ** 32))
+def test_min_degree_loop_matches_the_full_scan_reference(case, random, seed):
+    g = BipartiteGraph.from_rows(*case)
+    pi = Permutation(random.sample(range(g.n_offline), g.n_offline))
+    for run in (lambda step: run_min_greedy(g, seed, step),
+                lambda step: run_min_ranking(g, seed, step),
+                lambda step: run_min_ranking_fixed(g, pi, step)):
+        m, snaps, states = _traced_min_degree_run(run, priority._min_degree_loop)
+        ref_m, ref_snaps, ref_states = _traced_min_degree_run(
+            run, _full_scan_min_degree_loop)
+        assert m == ref_m and verify_matching(g, m)
+        assert len(snaps) == len(ref_snaps) == g.n_online
+        assert all(np.array_equal(a, b) for a, b in zip(snaps, ref_snaps))
+        assert states == ref_states
