@@ -121,7 +121,7 @@ class ExperimentSpec:
                                  f"choose from {sorted(TIE_BREAKS)}")
         if self.passes is not None and self.algorithm != "category-advice":
             raise ValueError("pass count applies to category-advice only")
-        if self.algorithm == "category-advice" and (self.passes or 1) < 1:
+        if self.passes is not None and self.passes < 1:
             raise ValueError("pass count must be at least 1")
 
     def algorithm_label(self) -> str:

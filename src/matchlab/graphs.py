@@ -74,9 +74,8 @@ class BipartiteGraph:
 
     @cached_property
     def indices_offline(self) -> np.ndarray:
-        # CSC: offline -> sorted online neighbors; a stable sort keeps rows in order
-        order = np.argsort(self.indices, kind="stable")
-        a = np.repeat(np.arange(self.n_online), self.online_degrees)[order]
+        # CSC: offline -> sorted online neighbors, by scipy's linear-time transpose
+        a = self.to_csr().tocsc().indices.astype(np.int64)
         a.flags.writeable = False
         return a
 

@@ -7,9 +7,10 @@ offline candidates.  The degree used by the minimum-degree rule is the
 static type-graph degree, frozen before any arrival: it never shrinks as
 offline vertices are consumed.
 
-Decision rules are choosers for `online.arrival_pass`, which runs them
-over the type rows without materializing the instance; only the offline
-optimum needs the instance as a graph.
+Decision rules are offline priorities for `online.arrival_pass`: a rank
+array under index ties, a chooser under random ties.  The kernel runs
+them over the type rows without materializing the instance; only the
+offline optimum needs the instance as a graph.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from matchlab.families import FamilyDescriptor
 from matchlab.graphs import BipartiteGraph, Matching
-from matchlab.online import arrival_pass, tie_chooser
+from matchlab.online import arrival_pass, tie_rule
 from matchlab.rng import make_rng
 
 CONSISTENCY_MAX_ONLINE = 6
@@ -80,37 +81,19 @@ def make_min_degree_rule(tg: TypeGraph, tie_break: str = "lowest-index",
     """Decision rule: active neighbor of minimum static degree.
 
     Ties are broken by index ("max-index" realizes the adversarial
-    largest-block rule under the generators' ascending block layout) or
-    uniformly at random.
+    largest-block rule under the generators' ascending block layout),
+    which makes the rule a rank array, or uniformly at random.
     """
-    inner = tie_chooser(tie_break, seed)
-    sd = tg.static_degree
-
-    def choose(t: int, avail: np.ndarray, pos: int) -> int:
-        degs = sd[avail]
-        return inner(t, avail[degs == degs.min()], pos)
-    return choose
+    return tie_rule(tg.n_offline, tie_break, seed, tg.static_degree)
 
 
-def parity_control_chooser():
-    """Deliberately inconsistent rule for negative tests.
-
-    Picks the lowest-index candidate at even arrival positions and the
-    highest at odd ones, so the choice depends on when the arrival
-    happens, not only on what is available.
-    """
-    def choose(t: int, avail: np.ndarray, pos: int) -> int:
-        return int(avail[0]) if pos % 2 == 0 else int(avail[-1])
-    return choose
-
-
-def run_rule(tg: TypeGraph, draws, choose) -> Matching:
-    """Run a decision rule over an arrival sequence.
+def run_rule(tg: TypeGraph, draws, rule) -> Matching:
+    """Run a decision rule (rank array or chooser) over an arrival sequence.
 
     The matching's online side is indexed by arrival position.  Arrivals
     whose active neighborhood is empty are lost.
     """
-    return Matching.from_partners(arrival_pass(tg.base, draws, choose), tg.n_offline)
+    return Matching.from_partners(arrival_pass(tg.base, draws, rule), tg.n_offline)
 
 
 def run_min_degree(tg: TypeGraph, inst: InstanceSample,
@@ -124,7 +107,7 @@ def run_greedy_iid(tg: TypeGraph, inst: InstanceSample,
                    tie_break: str = "lowest-index",
                    seed: int | None = None) -> Matching:
     """Match each arrival to any active neighbor per the tie policy."""
-    return run_rule(tg, inst.draws, tie_chooser(tie_break, seed))
+    return run_rule(tg, inst.draws, tie_rule(tg.n_offline, tie_break, seed))
 
 
 @dataclass
@@ -149,7 +132,9 @@ def check_consistency(tg: TypeGraph, rule_factory,
     rule is consistent when the choice is a function of (type, available
     set) alone and shrinking the available set around a kept choice does
     not change it; both requirements are checked over all context pairs.
-    rule_factory must build a fresh rule per run (rules may be stateful).
+    rule_factory must build a fresh rule per run (rules may be stateful);
+    a rank-array rule is recorded as the chooser of its least-ranked
+    available vertex.
     Guarded to |U| <= 6.
     """
     n = tg.n_types
@@ -160,10 +145,11 @@ def check_consistency(tg: TypeGraph, rule_factory,
     sequences = 0
     for seq in itertools.product(range(n), repeat=n):
         sequences += 1
-        choose = rule_factory()
+        rule = rule_factory()
 
         def record(t, avail, pos):
-            v = int(choose(t, avail, pos))
+            v = int(rule(t, avail, pos) if callable(rule)
+                    else avail[rule[avail].argmin()])
             key = frozenset(avail.tolist())
             prev = seen.setdefault(t, {}).get(key)
             if prev is None:

@@ -1,9 +1,10 @@
 """Single-pass and multipass online matching on a fixed arrival order.
 
-Arrivals are processed once each; an arrival is matched immediately to a
-free neighbor picked by a chooser, or left unmatched forever.  Every
+Arrivals are processed once each; an arrival is matched immediately to
+its free neighbor of least rank under a fixed offline priority (random
+ties: one picked by a chooser), or left unmatched forever.  Every
 one-pass algorithm in the package (greedy, ranking, each pass of category
-advice, and the known-IID rules) is `arrival_pass` with its own chooser.
+advice, and the known-IID rules) is `arrival_pass` with its own priority.
 The multipass variant reruns the same arrival order while refining the
 offline priority list from the categories collected in earlier passes.
 """
@@ -21,53 +22,80 @@ CATEGORY_NEG_INF = -(2 ** 62)
 
 TIE_BREAKS = ("lowest-index", "max-index", "random")
 
+# key of a taken offline vertex in the rank pass; above every rank
+_TAKEN = np.iinfo(np.int64).max
 
-def arrival_pass(g: BipartiteGraph, rows, choose) -> np.ndarray:
+
+def arrival_pass(g: BipartiteGraph, rows, rule) -> np.ndarray:
     """Partner taken by each arrival of one pass (-1: lost).
 
-    rows[p] is the graph row arriving at position p.  Each arrival's free
-    neighbors `avail` (sorted, non-empty) go to choose(row, avail, p),
-    which returns one of them; arrivals with no free neighbor are lost.
+    rows[p] is the graph row arriving at position p.  `rule` is a rank
+    array over the offline side, and each arrival takes its free neighbor
+    of least rank; or it is a chooser, and each arrival's free neighbors
+    `avail` (sorted, non-empty) go to rule(row, avail, p), which returns
+    one of them.  Arrivals with no free neighbor are lost.
     """
     ptr = g.indptr.tolist()
     indices = g.indices
-    free = np.ones(g.n_offline, dtype=bool)
     rows = np.asarray(rows, dtype=np.int64).tolist()
     partner = np.full(len(rows), -1, dtype=np.int64)
+    if callable(rule):
+        free = np.ones(g.n_offline, dtype=bool)
+        for pos, r in enumerate(rows):
+            nb = indices[ptr[r]:ptr[r + 1]]
+            avail = nb[free[nb]]
+            if avail.size:
+                partner[pos] = v = rule(r, avail, pos)
+                free[v] = False
+        return partner
+    key = np.array(rule, dtype=np.int64)
     for pos, r in enumerate(rows):
-        nb = indices[ptr[r]:ptr[r + 1]]
-        avail = nb[free[nb]]
-        if avail.size:
-            v = choose(r, avail, pos)
-            partner[pos] = v
-            free[v] = False
+        a, b = ptr[r], ptr[r + 1]
+        if a < b:
+            nb = indices[a:b]
+            kk = key[nb]
+            i = kk.argmin()
+            if kk[i] != _TAKEN:
+                partner[pos] = v = nb[i]
+                key[v] = _TAKEN
     return partner
 
 
-def tie_chooser(tie_break: str = "lowest-index", seed: int | None = None):
-    """Chooser taking the first, the last or a uniform free neighbor.
+def tie_rule(n_offline: int, tie_break: str = "lowest-index",
+             seed: int | None = None, degree: np.ndarray | None = None):
+    """Offline priority of a tie rule: a rank array, or a chooser for "random".
 
-    "random" draws one integer per decision from a generator seeded once.
+    Vertices of lower `degree` come first (no degree: all tie).  The index
+    rules break the remaining ties by lowest or highest index.  "random"
+    draws one integer per decision, uniform over the free neighbors of
+    least degree, from a generator seeded once.
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"unknown tie_break {tie_break!r}; "
                          f"choose from {list(TIE_BREAKS)}")
     if tie_break != "random":
-        end = 0 if tie_break == "lowest-index" else -1
-        return lambda r, avail, pos: avail[end]
+        index = np.arange(n_offline) * (1 if tie_break == "lowest-index" else -1)
+        keys = (index,) if degree is None else (index, degree)
+        return Permutation(np.lexsort(keys)).rank
     if seed is None:
         raise ValueError("random tie break needs a seed")
     rng = make_rng(seed)
-    return lambda r, avail, pos: avail[rng.integers(avail.size)]
+
+    def choose(r, avail, pos):
+        if degree is not None:
+            d = degree[avail]
+            avail = avail[d == d.min()]
+        return avail[rng.integers(avail.size)]
+    return choose
 
 
-def _online_pass(g: BipartiteGraph, arrival: Permutation | None, choose) -> Matching:
+def _online_pass(g: BipartiteGraph, arrival: Permutation | None, rule) -> Matching:
     if arrival is None:
         arrival = Permutation.identity(g.n_online)
     elif len(arrival) != g.n_online:
         raise ValueError("arrival order size must equal n_online")
     partner = np.empty(g.n_online, dtype=np.int64)
-    partner[arrival.order] = arrival_pass(g, arrival.order, choose)
+    partner[arrival.order] = arrival_pass(g, arrival.order, rule)
     return Matching.from_partners(partner, g.n_offline)
 
 
@@ -78,7 +106,7 @@ def run_greedy(g: BipartiteGraph, arrival: Permutation | None = None,
     tie_break picks among free neighbors (see TIE_BREAKS); "random" is
     uniform per decision and needs a seed.
     """
-    return _online_pass(g, arrival, tie_chooser(tie_break, seed))
+    return _online_pass(g, arrival, tie_rule(g.n_offline, tie_break, seed))
 
 
 def run_ranking(g: BipartiteGraph, arrival: Permutation | None,
@@ -89,8 +117,7 @@ def run_ranking(g: BipartiteGraph, arrival: Permutation | None,
     """
     if len(sigma) != g.n_offline:
         raise ValueError("sigma size must equal n_offline")
-    rank = sigma.rank
-    return _online_pass(g, arrival, lambda r, avail, pos: avail[np.argmin(rank[avail])])
+    return _online_pass(g, arrival, sigma.rank)
 
 
 def refine_sigma(sigma: Permutation, categories) -> Permutation:

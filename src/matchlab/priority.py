@@ -103,7 +103,7 @@ def run_min_ranking(g: BipartiteGraph, seed: int, on_step=None) -> Matching:
     rng = make_rng(seed)
     pi = Permutation.random(g.n_offline, rng)
     rank = pi.rank
-    return _min_degree_loop(g, rng, lambda f, r: f[np.argmin(rank[f])], on_step)
+    return _min_degree_loop(g, rng, lambda f, r: f[rank[f].argmin()], on_step)
 
 
 def run_min_ranking_fixed(g: BipartiteGraph, pi: Permutation, on_step=None) -> Matching:
@@ -116,7 +116,7 @@ def run_min_ranking_fixed(g: BipartiteGraph, pi: Permutation, on_step=None) -> M
     if len(pi) != g.n_offline:
         raise ValueError("pi size must equal n_offline")
     rank = pi.rank
-    return _min_degree_loop(g, None, lambda f, r: f[np.argmin(rank[f])], on_step)
+    return _min_degree_loop(g, None, lambda f, r: f[rank[f].argmin()], on_step)
 
 
 def run_rhs_greedy(g: BipartiteGraph, desc: FamilyDescriptor,

@@ -1,4 +1,5 @@
-"""Shared pytest plumbing for the acceptance summary block."""
+"""Shared pytest plumbing for the acceptance summary block, plus the
+position-dependent control rule for the consistency checker."""
 
 ACCEPTANCE_LINES: list[tuple[int, str]] = []
 
@@ -21,3 +22,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("=", "acceptance criteria")
         for _, line in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
+
+
+def parity_control_chooser():
+    """Deliberately inconsistent rule for negative tests.
+
+    Picks the lowest-index candidate at even arrival positions and the
+    highest at odd ones, so the choice depends on when the arrival
+    happens, not only on what is available.
+    """
+    def choose(t, avail, pos):
+        return int(avail[0]) if pos % 2 == 0 else int(avail[-1])
+    return choose

@@ -183,6 +183,10 @@ def test_usage_errors_exit_one():
     assert run_cli("run", "kvv", "n=4", "--algorithm", "mindegree").returncode == 1
     assert run_cli("run", "kvv", "n=4", "--algorithm", "ranking",
                    "--k", "2").returncode == 1
+    zero_passes = run_cli("run", "fibonacci", "k=2", "--algorithm",
+                          "category-advice", "--k", "0")
+    assert zero_passes.returncode == 1 and not zero_passes.stdout
+    assert len(zero_passes.stderr.strip().splitlines()) == 1
     assert run_cli("oracle", "/no/such/file.json").returncode == 1
 
 

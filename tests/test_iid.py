@@ -10,11 +10,13 @@ from matchlab.families import gen_h_graph, gen_min_degree_hard
 from matchlab.graphs import BipartiteGraph, maximum_matching, verify_matching
 from matchlab.iid import (CONSISTENCY_MAX_ONLINE, TypeGraph, check_consistency,
                           gadget_overflow_count, make_min_degree_rule,
-                          materialize_instance, parity_control_chooser,
+                          materialize_instance,
                           run_greedy_iid, run_min_degree, run_rule,
                           sample_instance)
-from matchlab.online import tie_chooser
+from matchlab.online import arrival_pass, tie_rule
 from matchlab.rng import derive_seed, make_rng
+
+from conftest import parity_control_chooser
 
 SEED = 40320
 
@@ -76,9 +78,11 @@ def test_min_degree_rule_uses_static_not_residual_degrees():
     tg = _tg([[0, 1], [1, 2], [1, 2]], 3)
     assert tg.static_degree.tolist() == [1, 3, 2]
     rule = make_min_degree_rule(tg)
+    # a fixed priority by static degree: scarce 0, then 2, then busy 1
+    assert rule.tolist() == [0, 2, 1]
     # static degree of 2 beats 1's residual freedom regardless of history
-    assert rule(1, np.array([1, 2]), 0) == 2
-    assert rule(2, np.array([1]), 5) == 1
+    assert run_rule(tg, [1], rule).pairs() == [(0, 2)]
+    assert run_rule(tg, [1, 2], rule).pairs() == [(0, 2), (1, 1)]
     m = run_rule(tg, [0, 1, 2], rule)
     # arrival 0 takes the scarce vertex 0, arrivals 1-2 take 2 then 1
     assert m.pairs() == [(0, 0), (1, 2), (2, 1)]
@@ -94,15 +98,17 @@ def test_tie_rules_coincide_when_all_degrees_differ():
 
 
 def test_greedy_rule_tie_rules_and_guards():
-    avail = np.array([2, 5, 9])
-    assert tie_chooser("lowest-index")(0, avail, 0) == 2
-    assert tie_chooser("max-index")(0, avail, 0) == 9
+    assert tie_rule(4, "lowest-index").tolist() == [0, 1, 2, 3]
+    assert tie_rule(4, "max-index").tolist() == [3, 2, 1, 0]
+    g = BipartiteGraph.from_rows(1, 10, [[2, 5, 9]])
+    assert arrival_pass(g, [0], tie_rule(10, "lowest-index")).tolist() == [2]
+    assert arrival_pass(g, [0], tie_rule(10, "max-index")).tolist() == [9]
     with pytest.raises(ValueError):
-        tie_chooser("random")          # seed required
+        tie_rule(10, "random")          # seed required
     with pytest.raises(ValueError):
-        tie_chooser("first-come")
-    rule = tie_chooser("random", seed=4)
-    assert int(rule(0, avail, 0)) in {2, 5, 9}
+        tie_rule(10, "first-come")
+    rule = tie_rule(10, "random", seed=4)
+    assert int(rule(0, np.array([2, 5, 9]), 0)) in {2, 5, 9}
 
 
 def test_star_type_graph_matches_exactly_one():
@@ -165,7 +171,7 @@ def test_consistency_holds_for_index_and_degree_rules():
         _tg([[0, 1]], 2),
     ]
     for tg in graphs:
-        for factory in (lambda: tie_chooser("lowest-index"),
+        for factory in (lambda tg=tg: tie_rule(tg.n_offline),
                         lambda tg=tg: make_min_degree_rule(tg),
                         lambda tg=tg: make_min_degree_rule(tg, "max-index")):
             report = check_consistency(tg, factory)

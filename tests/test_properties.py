@@ -1,5 +1,5 @@
 """Property-based checks of the CSR graph, the arrival-pass kernel and
-the min-degree loop.
+the min-degree loop, the kernels against chooser and full-scan references.
 
 Examples are derandomized and few, so every run draws the same graphs.
 """
@@ -8,16 +8,18 @@ import json
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matchlab import priority
+from matchlab import online, priority
 from matchlab.graphs import (BipartiteGraph, Matching, Permutation,
                              graph_from_dict, graph_to_dict, maximum_matching,
                              verify_matching)
 from matchlab.iid import (TypeGraph, make_min_degree_rule,
-                          materialize_instance, run_rule, sample_instance)
-from matchlab.online import TIE_BREAKS, run_greedy, run_ranking, tie_chooser
+                          materialize_instance, run_greedy_iid, run_min_degree,
+                          run_rule, sample_instance)
+from matchlab.online import (TIE_BREAKS, run_category_advice, run_greedy,
+                             run_ranking, tie_rule)
 from matchlab.priority import (LiveState, run_min_greedy, run_min_ranking,
                                run_min_ranking_fixed)
 from matchlab.rng import make_rng
@@ -91,9 +93,67 @@ def test_every_chooser_yields_a_maximal_matching(case, random, seed):
         inst = sample_instance(tg, seed)
         gi = materialize_instance(tg, inst)
         for tie in TIE_BREAKS:
-            for choose in (tie_chooser(tie, seed), make_min_degree_rule(tg, tie, seed)):
-                m = run_rule(tg, inst.draws, choose)
+            for rule in (tie_rule(g.n_offline, tie, seed),
+                         make_min_degree_rule(tg, tie, seed)):
+                m = run_rule(tg, inst.draws, rule)
                 assert verify_matching(gi, m) and _is_maximal(gi, m)
+
+
+def _chooser_pass(g, rows, choose):
+    """Reference arrival pass: filters the free neighbours, asks a chooser."""
+    free = np.ones(g.n_offline, dtype=bool)
+    partner = np.full(len(rows), -1, dtype=np.int64)
+    for pos, r in enumerate(rows):
+        nb = g.neighbors(r)
+        avail = nb[free[nb]]
+        if avail.size:
+            v = choose(r, avail, pos)
+            partner[pos] = v
+            free[v] = False
+    return partner
+
+
+def _least_rank(rank):
+    return lambda r, avail, pos: avail[np.argmin(rank[avail])]
+
+
+def _least_degree(degree, end):
+    """Reference index-tie min-degree chooser: first or last of least degree."""
+    def choose(r, avail, pos):
+        d = degree[avail]
+        return avail[d == d.min()][end]
+    return choose
+
+
+@SETTINGS
+@given(shuffled_rows(), st.integers(0, 2 ** 32))
+@example((0, 3, []), 5)
+@example((4, 3, [[], [2, 0], [], [1]]), 6)
+def test_rank_pass_matches_the_chooser_reference(case, seed):
+    g = BipartiteGraph.from_rows(*case)
+    rng = make_rng(seed)
+    arrival = Permutation.random(g.n_online, rng)
+    sigma = Permutation.random(g.n_offline, rng)
+    ref = np.full(g.n_online, -1, dtype=np.int64)
+    ref[arrival.order] = _chooser_pass(g, arrival.order.tolist(), _least_rank(sigma.rank))
+    assert np.array_equal(run_ranking(g, arrival, sigma).partner_of_online, ref)
+    for tie, end in (("lowest-index", 0), ("max-index", -1)):
+        ref[arrival.order] = _chooser_pass(g, arrival.order.tolist(),
+                                           lambda r, avail, pos: avail[end])
+        assert np.array_equal(run_greedy(g, arrival, tie).partner_of_online, ref)
+        if g.n_online:
+            tg = TypeGraph.from_graph(g)
+            inst = sample_instance(tg, seed)
+            rows = inst.draws.tolist()
+            for run, degree in ((run_greedy_iid, np.zeros(g.n_offline, np.int64)),
+                                (run_min_degree, tg.static_degree)):
+                want = _chooser_pass(g, rows, _least_degree(degree, end))
+                assert np.array_equal(run(tg, inst, tie).partner_of_online, want)
+    for k in (1, 2, 3):
+        _, sizes = run_category_advice(g, arrival, k)
+        with mock.patch.object(online, "arrival_pass", lambda g, rows, rank:
+                               _chooser_pass(g, rows, _least_rank(rank))):
+            assert run_category_advice(g, arrival, k)[1] == sizes
 
 
 def _full_scan_min_degree_loop(g, rng, pick, on_step=None):
