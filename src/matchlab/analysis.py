@@ -19,13 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from matchlab.rng import derive_seed, make_rng
-
-EXACT_MODE_MAX_N = 30
 
 
 @dataclass
@@ -65,44 +62,14 @@ def trial_stats(values, seed: int | None = None) -> TrialStats:
                       count=n, seed=seed)
 
 
-def chain_step_probs(x: int, y: int) -> tuple[Fraction, Fraction]:
-    """Exact (keep-y, increment-y) step probabilities from state (x, y).
-
-    y grows with probability x/(2x+y) and stays put otherwise.  Defined
-    for x >= 1: the chain stops once every online vertex is matched, so
-    there is no step out of x = 0.
-    """
-    if x < 1:
-        raise ValueError("no step is taken from x = 0")
-    if y < 0:
-        raise ValueError("y must be non-negative")
-    p_inc = Fraction(x, 2 * x + y)
-    return 1 - p_inc, p_inc
-
-
-def expected_y_exact(n: int, exact: bool = False):
+def expected_y_exact(n: int) -> float:
     """Expected pendant count after the full n-step chain from (n, 0).
 
-    Float path: vectorized dynamic program over the y-distribution, with
-    compensated summation of the final expectation.  exact=True switches
-    to rational arithmetic (guarded to n <= 30) and returns a Fraction.
+    Vectorized dynamic program over the y-distribution, with compensated
+    summation of the final expectation.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if exact:
-        if n > EXACT_MODE_MAX_N:
-            raise ValueError(f"exact mode limited to n <= {EXACT_MODE_MAX_N}")
-        dist = [Fraction(1)]
-        for t in range(n):
-            x = n - t
-            new = [Fraction(0)] * (t + 2)
-            for y, p in enumerate(dist):
-                if p:
-                    p_inc = Fraction(x, 2 * x + y)
-                    new[y + 1] += p * p_inc
-                    new[y] += p * (1 - p_inc)
-            dist = new
-        return sum(y * p for y, p in enumerate(dist))
     dist = _count_chain(n, PENDANT_STEP["minranking"])
     return math.fsum(y * p for y, p in enumerate(dist))
 
@@ -145,8 +112,7 @@ def simulate_chain(n: int, trials: int, seed: int) -> TrialStats:
     y = np.zeros(trials, dtype=np.float64)
     for t in range(n):
         x = float(n - t)
-        p_inc = x / (2.0 * x + y)
-        y += rng.random(trials) < p_inc
+        y += rng.random(trials) < PENDANT_STEP["minranking"](x, y)
     return trial_stats(y, seed=seed)
 
 

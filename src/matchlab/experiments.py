@@ -24,8 +24,9 @@ from matchlab.families import (FamilyDescriptor, fibonacci,
                                gen_besser_poloczek, gen_fibonacci_family,
                                gen_goel_mehta, gen_h_graph,
                                gen_kvv_triangular, gen_min_degree_hard)
-from matchlab.graphs import BipartiteGraph, maximum_matching
-from matchlab.iid import (TypeGraph, gadget_overflow_count, run_greedy_iid,
+from matchlab.graphs import (BipartiteGraph, check_vertex_counts,
+                             maximum_matching)
+from matchlab.iid import (gadget_overflow_count, run_greedy_iid,
                           run_min_degree, sample_instance)
 from matchlab.online import (TIE_BREAKS, run_category_advice, run_greedy,
                              run_ranking)
@@ -35,16 +36,24 @@ from matchlab.rng import derive_seed, make_rng
 
 DEFAULT_SEED = 101
 
-# family name -> (generator, canonical parameter order, edge count)
+# family name -> (generator, canonical parameter order, edge count,
+# (online, offline) vertex counts)
 FAMILY_BUILDERS = {
-    "fibonacci": (gen_fibonacci_family, ("k",), fibonacci_family_edges),
-    "kvv": (gen_kvv_triangular, ("n",), lambda n: n * (n + 1) // 2),
-    "bp": (gen_besser_poloczek, ("b",), lambda b: 5 * b**3 + 2 * b**2 + 2 * b),
-    "hgraph": (gen_h_graph, ("n", "k"), lambda n, k: n * (k + 1)),
-    "goelmehta": (gen_goel_mehta, ("L", "N"), lambda L, N: L * L * N * (N + 1) // 2),
+    "fibonacci": (gen_fibonacci_family, ("k",), fibonacci_family_edges,
+                  lambda k: (fibonacci(2 * k + 1),) * 2),
+    "kvv": (gen_kvv_triangular, ("n",), lambda n: n * (n + 1) // 2,
+            lambda n: (n, n)),
+    "bp": (gen_besser_poloczek, ("b",), lambda b: 5 * b**3 + 2 * b**2 + 2 * b,
+           lambda b: (2 * b * b + 2 * b,) * 2),
+    "hgraph": (gen_h_graph, ("n", "k"), lambda n, k: n * (k + 1),
+               lambda n, k: (n, n + k)),
+    "goelmehta": (gen_goel_mehta, ("L", "N"), lambda L, N: L * L * N * (N + 1) // 2,
+                  lambda L, N: (L * N, L * N)),
     "mindegreehard": (gen_min_degree_hard, ("L", "N", "K"),
                       lambda L, N, K: (K * L * L * N * (N + 1)
-                                       + L * N * (L + gadget_slack(L)))),
+                                       + L * N * (L + gadget_slack(L))),
+                      lambda L, N, K: (L * N * (K + 1),
+                                       L * N * K + N * (L + gadget_slack(L)))),
 }
 
 # Most edges build_family will generate: twelve times the 5.02M edges of
@@ -65,13 +74,14 @@ IID_ALGORITHMS = frozenset({"mindegree", "greedy-iid"})
 def build_family(family: str, params: dict) -> tuple[BipartiteGraph, FamilyDescriptor]:
     """Instantiate a named family; validates name, parameter keys and size.
 
-    Families with more than MAX_EDGES edges are refused before anything
+    Families with more than MAX_EDGES edges, or more than
+    graphs.MAX_VERTICES vertices on a side, are refused before anything
     is allocated.
     """
     if family not in FAMILY_BUILDERS:
         raise ValueError(f"unknown family {family!r}; "
                          f"choose from {sorted(FAMILY_BUILDERS)}")
-    gen, names, edges = FAMILY_BUILDERS[family]
+    gen, names, edges, sides = FAMILY_BUILDERS[family]
     missing = [p for p in names if p not in params]
     extra = [p for p in params if p not in names]
     if missing or extra:
@@ -82,6 +92,7 @@ def build_family(family: str, params: dict) -> tuple[BipartiteGraph, FamilyDescr
     if n_edges > MAX_EDGES:
         raise ValueError(f"family {family!r} with {params_label(family, params)} "
                          f"has {n_edges} edges, above the cap of {MAX_EDGES}")
+    check_vertex_counts(*sides(*args))
     return gen(*args)
 
 
@@ -167,13 +178,12 @@ def _run_block(spec_dict: dict, lo: int, hi: int) -> list[tuple[int, int, int]]:
     alg, tie = spec.algorithm, spec.tie_break or "lowest-index"
     out: list[tuple[int, int, int]] = []
     if alg in IID_ALGORITHMS:
-        tg = TypeGraph.from_graph(g)
         run = run_min_degree if alg == "mindegree" else run_greedy_iid
         from matchlab.iid import materialize_instance
         for t in range(lo, hi):
-            inst = sample_instance(tg, derive_seed(spec.seed, 2 * t))
-            m = run(tg, inst, tie_break=tie, seed=derive_seed(spec.seed, 2 * t + 1))
-            opt = maximum_matching(materialize_instance(tg, inst)).size
+            inst = sample_instance(g, derive_seed(spec.seed, 2 * t))
+            m = run(g, inst, tie_break=tie, seed=derive_seed(spec.seed, 2 * t + 1))
+            opt = maximum_matching(materialize_instance(g, inst)).size
             out.append((t, m.size, opt))
         return out
     opt = maximum_matching(g).size
@@ -278,9 +288,9 @@ def reproduce_fibonacci_ratios(seed: int = DEFAULT_SEED,
         g, desc = build_family("fibonacci", {"k": k})
         want = fibonacci(2 * k)
         opt = maximum_matching(g).size
-        got = run_category_advice(g, k=k)[1][-1]
-        got_p1 = run_category_advice(g, k=k + 1)[1][-1]
-        got_p2 = run_category_advice(g, k=k + 2)[1][-1]
+        # pass i depends only on the passes before it, so one (k+2)-pass
+        # run holds the k-, (k+1)- and (k+2)-pass sizes
+        got, got_p1, got_p2 = run_category_advice(g, k=k + 2)[1][k - 1:]
         ok = (got == want and got_p1 == want + 1 and got_p2 == want + 1
               and opt == fibonacci(2 * k + 1) == desc.expected_opt)
         passed &= ok
@@ -396,10 +406,9 @@ def reproduce_mindegree_iid(seed: int = DEFAULT_SEED,
     opt = trial_stats([r.opt_size for r in rows])
     exact = expected_padded_sizes(**params)
     g, desc = build_family("mindegreehard", params)
-    tg = TypeGraph.from_graph(g)
     overflowing = sum(
         1 for t in range(trials)
-        if gadget_overflow_count(desc, sample_instance(tg, derive_seed(seed, 2 * t))) > 0)
+        if gadget_overflow_count(desc, sample_instance(g, derive_seed(seed, 2 * t))) > 0)
     overflow_frac = overflowing / trials
     ok_alg, alg_line = _exact_line("alg size", alg.mean, alg.stderr,
                                    exact.alg, exact.error)

@@ -1,9 +1,9 @@
 """Generators for the structured graph families used in the experiments.
 
 Each generator is pure (no randomness) and returns a graph together with a
-FamilyDescriptor recording the block layout, the canonical arrival order
-(identity: vertices are laid out top-to-bottom) and the known maximum
-matching size.  Indices inside a block are contiguous, and blocks appear
+FamilyDescriptor recording the block layout and the known maximum matching
+size.  The canonical arrival order is the identity: vertices are laid out
+top-to-bottom.  Indices inside a block are contiguous, and blocks appear
 in ascending index order, so index-based tie rules act block-adversarially.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from matchlab.graphs import BipartiteGraph, Permutation
+from matchlab.graphs import BipartiteGraph
 
 MAX_FIB_INDEX = 92  # largest index whose value fits in a signed 64-bit int
 
@@ -38,7 +38,6 @@ class FamilyDescriptor:
     online_blocks: dict[str, tuple[int, int]]
     offline_blocks: dict[str, tuple[int, int]]
     expected_opt: int
-    arrival: Permutation
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -103,7 +102,7 @@ def gen_fibonacci_family(k: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
     desc = FamilyDescriptor(
         family="fibonacci", params={"k": k},
         online_blocks=on_blocks, offline_blocks=off_blocks,
-        expected_opt=side, arrival=Permutation.identity(side))
+        expected_opt=side)
     return g, desc
 
 
@@ -120,7 +119,7 @@ def gen_kvv_triangular(n: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
     desc = FamilyDescriptor(
         family="kvv", params={"n": n},
         online_blocks={"U": (0, n)}, offline_blocks={"V": (0, n)},
-        expected_opt=n, arrival=Permutation.identity(n))
+        expected_opt=n)
     return g, desc
 
 
@@ -152,8 +151,7 @@ def gen_besser_poloczek(b: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
     desc = FamilyDescriptor(
         family="besser_poloczek", params={"b": b},
         online_blocks=dict(blocks), offline_blocks=dict(blocks),
-        expected_opt=side, arrival=Permutation.identity(side),
-        extra={"sub_block_size": b})
+        expected_opt=side, extra={"sub_block_size": b})
     return g, desc
 
 
@@ -173,7 +171,7 @@ def gen_h_graph(n: int, k: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
         family="hgraph", params={"n": n, "k": k},
         online_blocks={"U": (0, n)},
         offline_blocks={"V1": (0, k), "V2": (k, k + n)},
-        expected_opt=n, arrival=Permutation.identity(n))
+        expected_opt=n)
     return g, desc
 
 
@@ -195,7 +193,7 @@ def gen_goel_mehta(L: int, N: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
     desc = FamilyDescriptor(
         family="goel_mehta", params={"L": L, "N": N},
         online_blocks=on_blocks, offline_blocks=off_blocks,
-        expected_opt=n, arrival=Permutation.identity(n))
+        expected_opt=n)
     return g, desc
 
 
@@ -253,7 +251,6 @@ def gen_min_degree_hard(L: int, N: int, K: int) -> tuple[BipartiteGraph, FamilyD
         online_blocks={"copies": (0, ln * K), "gadgets": (ln * K, n_online)},
         offline_blocks={"copies": (0, ln * K), "gadgets": (ln * K, n_offline)},
         expected_opt=ln * K + N * L,
-        arrival=Permutation.identity(n_online),
         extra={
             "slack": slack,
             "gadget_capacity": cap,

@@ -20,6 +20,11 @@ import numpy as np
 
 BRUTE_FORCE_MAX_ONLINE = 12
 
+# Most vertices per side of a graph read from a document or generated by
+# name: 99 times the 20,200 per side of bp b=100, the largest benchmark
+# graph.  Larger counts are refused before anything is allocated.
+MAX_VERTICES = 2_000_000
+
 
 def _rows_increasing(indptr: np.ndarray, indices: np.ndarray) -> bool:
     """True iff every row of the CSR arrays is strictly increasing."""
@@ -163,9 +168,6 @@ class Matching:
     def matched_offline_mask(self) -> np.ndarray:
         return self.partner_of_offline >= 0
 
-    def matched_online_mask(self) -> np.ndarray:
-        return self.partner_of_online >= 0
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matching):
             return NotImplemented
@@ -294,6 +296,13 @@ def random_bipartite(n_online: int, n_offline: int, p: float,
     return BipartiteGraph(n_online, n_offline, indptr, np.nonzero(mask)[1])
 
 
+def check_vertex_counts(n_online: int, n_offline: int) -> None:
+    """Refuse a graph with more than MAX_VERTICES vertices on either side."""
+    if max(n_online, n_offline) > MAX_VERTICES:
+        raise ValueError(f"{n_online} online and {n_offline} offline vertices, "
+                         f"above the cap of {MAX_VERTICES} per side")
+
+
 def graph_to_dict(g: BipartiteGraph) -> dict:
     return {"n_online": g.n_online, "n_offline": g.n_offline,
             "adj": g.adjacency()}
@@ -307,9 +316,10 @@ def graph_from_dict(d: dict) -> BipartiteGraph:
         n_online, n_offline, adj = d["n_online"], d["n_offline"], d["adj"]
     except KeyError as e:
         raise ValueError(f"graph dict missing key {e}") from e
-    # bool is an int subclass, so bools are refused by name and ids by exact type
-    if isinstance(n_online, bool) or isinstance(n_offline, bool):
+    # bool is an int subclass, so counts and ids are checked by exact type
+    if type(n_online) is not int or type(n_offline) is not int:
         raise ValueError("vertex counts must be integers")
+    check_vertex_counts(n_online, n_offline)
     if not isinstance(adj, list) or not all(isinstance(r, list) for r in adj):
         raise ValueError("adj must be a list of lists")
     if any(type(v) is not int for r in adj for v in r):

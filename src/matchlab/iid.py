@@ -2,10 +2,11 @@
 
 An instance draws |U| online arrivals IID uniformly from the type set U;
 each arrival inherits the adjacency of its type and is matched (or lost)
-immediately.  Decision rules see the arrival's type and the still-active
-offline candidates.  The degree used by the minimum-degree rule is the
-static type-graph degree, frozen before any arrival: it never shrinks as
-offline vertices are consumed.
+immediately.  The type graph is a plain BipartiteGraph whose online side
+is the type set U.  Decision rules see the arrival's type and the
+still-active offline candidates.  The degree used by the minimum-degree
+rule is the type graph's `offline_degrees`, fixed before any arrival: it
+never shrinks as offline vertices are consumed.
 
 Decision rules are offline priorities for `online.arrival_pass`: a rank
 array under index ties, a chooser under random ties.  The kernel runs
@@ -29,54 +30,33 @@ CONSISTENCY_MAX_ONLINE = 6
 
 
 @dataclass
-class TypeGraph:
-    """Type graph plus the frozen offline degree table."""
-
-    base: BipartiteGraph
-    static_degree: np.ndarray
-
-    @classmethod
-    def from_graph(cls, base: BipartiteGraph) -> "TypeGraph":
-        return cls(base=base, static_degree=base.offline_degrees)  # read-only
-
-    @property
-    def n_types(self) -> int:
-        return self.base.n_online
-
-    @property
-    def n_offline(self) -> int:
-        return self.base.n_offline
-
-
-@dataclass
 class InstanceSample:
     """IID arrival sequence: draws[p] is the type arriving at position p."""
 
     draws: np.ndarray
-    seed: int
 
 
-def sample_instance(tg: TypeGraph, seed: int) -> InstanceSample:
-    """Draw |U| types IID uniformly from U."""
-    if tg.n_types < 1:
+def sample_instance(g: BipartiteGraph, seed: int) -> InstanceSample:
+    """Draw |U| types IID uniformly from the type set U (g's online side)."""
+    if g.n_online < 1:
         raise ValueError("type graph has no online types")
     rng = make_rng(seed)
-    draws = rng.integers(0, tg.n_types, size=tg.n_types, dtype=np.int64)
-    return InstanceSample(draws=draws, seed=seed)
+    draws = rng.integers(0, g.n_online, size=g.n_online, dtype=np.int64)
+    return InstanceSample(draws=draws)
 
 
-def materialize_instance(tg: TypeGraph, inst: InstanceSample) -> BipartiteGraph:
+def materialize_instance(g: BipartiteGraph, inst: InstanceSample) -> BipartiteGraph:
     """Instance as a concrete graph; one online vertex per arrival."""
-    ptr, draws = tg.base.indptr, inst.draws
+    ptr, draws = g.indptr, inst.draws
     starts = ptr[draws]
     degs = ptr[draws + 1] - starts
     indptr = np.concatenate(([0], np.cumsum(degs)))
     # edge e of arrival p sits at starts[p] + (e - indptr[p]) in the type CSR
     gather = np.repeat(starts - indptr[:-1], degs) + np.arange(indptr[-1])
-    return BipartiteGraph(draws.size, tg.n_offline, indptr, tg.base.indices[gather])
+    return BipartiteGraph(draws.size, g.n_offline, indptr, g.indices[gather])
 
 
-def make_min_degree_rule(tg: TypeGraph, tie_break: str = "lowest-index",
+def make_min_degree_rule(g: BipartiteGraph, tie_break: str = "lowest-index",
                          seed: int | None = None):
     """Decision rule: active neighbor of minimum static degree.
 
@@ -84,30 +64,30 @@ def make_min_degree_rule(tg: TypeGraph, tie_break: str = "lowest-index",
     largest-block rule under the generators' ascending block layout),
     which makes the rule a rank array, or uniformly at random.
     """
-    return tie_rule(tg.n_offline, tie_break, seed, tg.static_degree)
+    return tie_rule(g.n_offline, tie_break, seed, g.offline_degrees)
 
 
-def run_rule(tg: TypeGraph, draws, rule) -> Matching:
+def run_rule(g: BipartiteGraph, draws, rule) -> Matching:
     """Run a decision rule (rank array or chooser) over an arrival sequence.
 
     The matching's online side is indexed by arrival position.  Arrivals
     whose active neighborhood is empty are lost.
     """
-    return Matching.from_partners(arrival_pass(tg.base, draws, rule), tg.n_offline)
+    return Matching.from_partners(arrival_pass(g, draws, rule), g.n_offline)
 
 
-def run_min_degree(tg: TypeGraph, inst: InstanceSample,
+def run_min_degree(g: BipartiteGraph, inst: InstanceSample,
                    tie_break: str = "lowest-index",
                    seed: int | None = None) -> Matching:
     """Match each arrival to an active neighbor of minimum static degree."""
-    return run_rule(tg, inst.draws, make_min_degree_rule(tg, tie_break, seed))
+    return run_rule(g, inst.draws, make_min_degree_rule(g, tie_break, seed))
 
 
-def run_greedy_iid(tg: TypeGraph, inst: InstanceSample,
+def run_greedy_iid(g: BipartiteGraph, inst: InstanceSample,
                    tie_break: str = "lowest-index",
                    seed: int | None = None) -> Matching:
     """Match each arrival to any active neighbor per the tie policy."""
-    return run_rule(tg, inst.draws, tie_rule(tg.n_offline, tie_break, seed))
+    return run_rule(g, inst.draws, tie_rule(g.n_offline, tie_break, seed))
 
 
 @dataclass
@@ -123,7 +103,7 @@ class ConsistencyReport:
         return not self.violations
 
 
-def check_consistency(tg: TypeGraph, rule_factory,
+def check_consistency(g: BipartiteGraph, rule,
                       max_violations: int = 16) -> ConsistencyReport:
     """Exhaustively test a decision rule for arrival-order consistency.
 
@@ -132,35 +112,35 @@ def check_consistency(tg: TypeGraph, rule_factory,
     rule is consistent when the choice is a function of (type, available
     set) alone and shrinking the available set around a kept choice does
     not change it; both requirements are checked over all context pairs.
-    rule_factory must build a fresh rule per run (rules may be stateful);
-    a rank-array rule is recorded as the chooser of its least-ranked
-    available vertex.
+    `rule` is a rank array or a chooser, reused for every sequence, so a
+    chooser must keep no state between calls; a rank array is recorded as
+    the chooser of its least-ranked available vertex.
     Guarded to |U| <= 6.
     """
-    n = tg.n_types
+    n = g.n_online
     if n > CONSISTENCY_MAX_ONLINE:
         raise ValueError(f"consistency check limited to |U| <= {CONSISTENCY_MAX_ONLINE}")
     seen: dict[int, dict[frozenset, tuple[int, tuple, int]]] = {}
     violations: list[dict] = []
+
+    def record(t, avail, pos):
+        v = int(rule(t, avail, pos) if callable(rule)
+                else avail[rule[avail].argmin()])
+        key = frozenset(avail.tolist())
+        prev = seen.setdefault(t, {}).get(key)
+        if prev is None:
+            seen[t][key] = (v, seq, pos)
+        elif prev[0] != v and len(violations) < max_violations:
+            violations.append({
+                "kind": "same-context", "type": t, "avail": sorted(key),
+                "matches": (prev[0], v),
+                "witness": (prev[1], prev[2], seq, pos)})
+        return v
+
     sequences = 0
     for seq in itertools.product(range(n), repeat=n):
         sequences += 1
-        rule = rule_factory()
-
-        def record(t, avail, pos):
-            v = int(rule(t, avail, pos) if callable(rule)
-                    else avail[rule[avail].argmin()])
-            key = frozenset(avail.tolist())
-            prev = seen.setdefault(t, {}).get(key)
-            if prev is None:
-                seen[t][key] = (v, seq, pos)
-            elif prev[0] != v and len(violations) < max_violations:
-                violations.append({
-                    "kind": "same-context", "type": t, "avail": sorted(key),
-                    "matches": (prev[0], v),
-                    "witness": (prev[1], prev[2], seq, pos)})
-            return v
-        arrival_pass(tg.base, seq, record)
+        arrival_pass(g, seq, record)
     contexts = 0
     for t, ctx in seen.items():
         keys = list(ctx)

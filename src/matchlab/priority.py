@@ -35,14 +35,6 @@ class LiveState:
         # so half the sentinel cleanly separates them from real degrees
         return self.curdeg < _DEAD // 2
 
-    def verify(self, g: BipartiteGraph) -> bool:
-        """Recompute every alive degree from the masks and compare."""
-        for u in np.flatnonzero(self.alive_online_mask()):
-            nb = g.neighbors(int(u))
-            if int(self.alive_offline[nb].sum()) != int(self.curdeg[u]):
-                return False
-        return True
-
 
 def _min_degree_loop(g: BipartiteGraph, rng: np.random.Generator | None,
                      pick, on_step=None) -> Matching:

@@ -24,13 +24,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-def parity_control_chooser():
+def parity_control_chooser(t, avail, pos):
     """Deliberately inconsistent rule for negative tests.
 
     Picks the lowest-index candidate at even arrival positions and the
     highest at odd ones, so the choice depends on when the arrival
     happens, not only on what is available.
     """
-    def choose(t, avail, pos):
-        return int(avail[0]) if pos % 2 == 0 else int(avail[-1])
-    return choose
+    return int(avail[0]) if pos % 2 == 0 else int(avail[-1])

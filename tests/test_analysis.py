@@ -7,19 +7,31 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from matchlab.analysis import (EXACT_MODE_MAX_N, _sum_below,
-                               chain_step_probs, expected_bp_sizes,
+from matchlab.analysis import (PENDANT_STEP, _sum_below, expected_bp_sizes,
                                expected_padded_sizes, expected_y_exact,
                                ode_root, simulate_chain,
                                simulate_rhs_empirical, trial_stats)
 from matchlab.families import gen_besser_poloczek, gen_min_degree_hard
 from matchlab.graphs import maximum_matching
-from matchlab.iid import (InstanceSample, TypeGraph, materialize_instance,
-                          run_min_degree)
+from matchlab.iid import InstanceSample, materialize_instance, run_min_degree
 from matchlab.priority import run_min_greedy, run_min_ranking
 from matchlab.rng import derive_seed, make_rng
 
 SEED = 361
+
+
+def _expected_pendants_exact(n):
+    """Reference dynamic program over the y-distribution, in fractions."""
+    dist = [Fraction(1)]
+    for t in range(n):
+        x = n - t
+        new = [Fraction(0)] * (t + 2)
+        for y, p in enumerate(dist):
+            p_inc = Fraction(x, 2 * x + y)
+            new[y + 1] += p * p_inc
+            new[y] += p * (1 - p_inc)
+        dist = new
+    return sum(y * p for y, p in enumerate(dist))
 
 
 def _expected_pendants_by_enumeration(n):
@@ -56,23 +68,15 @@ def test_trial_stats_covers_the_uniform_mean():
 
 
 def test_step_probabilities_are_exact_fractions():
-    assert chain_step_probs(1, 0) == (Fraction(1, 2), Fraction(1, 2))
-    assert chain_step_probs(1, 1) == (Fraction(2, 3), Fraction(1, 3))
-    assert chain_step_probs(3, 4) == (Fraction(7, 10), Fraction(3, 10))
+    step = PENDANT_STEP["minranking"]
     for x in range(1, 6):
         for y in range(0, 6):
-            keep, inc = chain_step_probs(x, y)
-            assert keep + inc == 1
-            assert inc == Fraction(x, 2 * x + y)
-    with pytest.raises(ValueError):
-        chain_step_probs(0, 2)
-    with pytest.raises(ValueError):
-        chain_step_probs(1, -1)
+            assert step(x, y) == float(Fraction(x, 2 * x + y))
 
 
 def test_exact_expectation_small_values():
-    assert expected_y_exact(1, exact=True) == Fraction(1, 2)
-    assert expected_y_exact(2, exact=True) == Fraction(11, 12)
+    assert _expected_pendants_exact(1) == Fraction(1, 2)
+    assert _expected_pendants_exact(2) == Fraction(11, 12)
     assert expected_y_exact(1) == 0.5
     with pytest.raises(ValueError):
         expected_y_exact(0)
@@ -80,18 +84,13 @@ def test_exact_expectation_small_values():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_exact_expectation_matches_full_trajectory_enumeration(n):
-    assert expected_y_exact(n, exact=True) == _expected_pendants_by_enumeration(n)
+    assert _expected_pendants_exact(n) == _expected_pendants_by_enumeration(n)
 
 
 def test_float_path_agrees_with_rational_path():
     for n in (1, 2, 5, 10, 20, 30):
-        exact = expected_y_exact(n, exact=True)
+        exact = _expected_pendants_exact(n)
         assert abs(expected_y_exact(n) - float(exact)) < 1e-12
-
-
-def test_exact_mode_guard():
-    with pytest.raises(ValueError):
-        expected_y_exact(EXACT_MODE_MAX_N + 1, exact=True)
 
 
 def test_expectation_fraction_descends_toward_the_limit():
@@ -210,13 +209,12 @@ def test_padded_expectation_matches_exhaustive_enumeration(L, N, K):
     # every arrival sequence of the tiny family, weighted equally; the
     # gadgets cannot overflow here, so the reckoning is exact
     g, _ = gen_min_degree_hard(L, N, K)
-    tg = TypeGraph.from_graph(g)
-    n = tg.n_types
+    n = g.n_online
     alg = opt = 0
     for seq in itertools.product(range(n), repeat=n):
-        inst = InstanceSample(np.array(seq), seed=0)
-        alg += run_min_degree(tg, inst, tie_break="max-index").size
-        opt += maximum_matching(materialize_instance(tg, inst)).size
+        inst = InstanceSample(np.array(seq))
+        alg += run_min_degree(g, inst, tie_break="max-index").size
+        opt += maximum_matching(materialize_instance(g, inst)).size
     exact = expected_padded_sizes(L, N, K)
     assert exact.error == 0.0
     assert abs(exact.alg - alg / n ** n) < 1e-12

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from matchlab import cli, experiments
+from matchlab import cli, experiments, graphs
 from matchlab.experiments import (REPRODUCTIONS, ExperimentSpec,
                                   ReproduceResult, run_experiment)
 
@@ -148,6 +148,21 @@ def test_generate_refuses_families_above_the_edge_cap(monkeypatch, capsys):
     # the padded family's slack needs L as a float, which overflows here
     assert cli.main(["generate", "mindegreehard", f"L={10 ** 400}", "N=1", "K=1"]) == 1
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_generate_refuses_families_above_the_vertex_cap(monkeypatch, capsys):
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 20)
+    built = []
+    gen, *rest = experiments.FAMILY_BUILDERS["hgraph"]
+    monkeypatch.setitem(experiments.FAMILY_BUILDERS, "hgraph",
+                        (lambda *a: built.append(a) or gen(*a), *rest))
+    assert cli.main(["generate", "hgraph", "n=11", "k=10"]) == 1  # 21 offline
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert "11 online and 21 offline vertices, above the cap of 20 per side" in err
+    assert built == []  # refused before the generator ran
+    assert cli.main(["generate", "hgraph", "n=10", "k=10"]) == 0  # 20 offline
+    assert built == [(10, 10)]
 
 
 def test_environment_variable_supplies_the_default_seed():

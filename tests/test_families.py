@@ -10,8 +10,8 @@ from matchlab.families import (MAX_FIB_INDEX, fibonacci, gadget_slack,
                                gen_besser_poloczek, gen_fibonacci_family,
                                gen_goel_mehta, gen_h_graph,
                                gen_kvv_triangular, gen_min_degree_hard)
-from matchlab.graphs import BipartiteGraph, maximum_matching
-from matchlab.iid import TypeGraph, sample_instance, materialize_instance
+from matchlab.graphs import MAX_VERTICES, BipartiteGraph, maximum_matching
+from matchlab.iid import sample_instance, materialize_instance
 from matchlab.rng import derive_seed
 
 
@@ -202,12 +202,11 @@ def test_min_degree_hard_sampled_optimum_stays_near_copy_count():
     # Monte Carlo floor for the sampled optimum at the headline parameters
     L, N, K = 10, 10, 20
     g, desc = gen_min_degree_hard(L, N, K)
-    tg = TypeGraph.from_graph(g)
     samples = 100
     total = 0
     for t in range(samples):
-        inst = sample_instance(tg, derive_seed(36151, t))
-        total += maximum_matching(materialize_instance(tg, inst)).size
+        inst = sample_instance(g, derive_seed(36151, t))
+        total += maximum_matching(materialize_instance(g, inst)).size
     assert total / samples >= 0.95 * (L * N * K)
 
 
@@ -226,9 +225,11 @@ def test_descriptor_serialization_round_trips_block_maps():
     ("goelmehta", {"L": 2, "N": 3}), ("mindegreehard", {"L": 3, "N": 2, "K": 2}),
 ])
 def test_edge_count_formula_matches_the_built_graph(family, params):
-    _, names, edges = FAMILY_BUILDERS[family]
+    _, names, edges, sides = FAMILY_BUILDERS[family]
     g, _ = build_family(family, params)
-    assert edges(*(params[p] for p in names)) == g.n_edges
+    args = [params[p] for p in names]
+    assert edges(*args) == g.n_edges
+    assert sides(*args) == (g.n_online, g.n_offline)
 
 
 def test_edge_cap_covers_the_benchmark_graphs_and_refuses_huge_ones():
@@ -237,3 +238,18 @@ def test_edge_cap_covers_the_benchmark_graphs_and_refuses_huge_ones():
     assert MAX_EDGES >= 10 * edges["bp"](100)
     assert edges["kvv"](10 ** 6) == 500_000_500_000 > MAX_EDGES
     assert edges["fibonacci"](10) < MAX_EDGES < edges["fibonacci"](11)
+
+
+def test_vertex_cap_refuses_families_the_edge_cap_lets_through(monkeypatch):
+    assert FAMILY_BUILDERS["bp"][3](100) == (20_200, 20_200)  # largest benchmark graph
+    assert MAX_VERTICES >= 99 * 20_200
+
+    def never(*args):
+        raise AssertionError("a family above the cap must not be generated")
+    for family, params in (("hgraph", {"n": 60_000_000, "k": 0}),
+                           ("mindegreehard", {"L": 1, "N": 1, "K": 29_999_998})):
+        _, names, edges, _ = entry = FAMILY_BUILDERS[family]
+        assert edges(*(params[p] for p in names)) == MAX_EDGES
+        monkeypatch.setitem(FAMILY_BUILDERS, family, (never, *entry[1:]))
+        with pytest.raises(ValueError, match=f"above the cap of {MAX_VERTICES} per side"):
+            build_family(family, params)

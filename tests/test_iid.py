@@ -8,7 +8,7 @@ import pytest
 from matchlab.experiments import ExperimentSpec, run_experiment
 from matchlab.families import gen_h_graph, gen_min_degree_hard
 from matchlab.graphs import BipartiteGraph, maximum_matching, verify_matching
-from matchlab.iid import (CONSISTENCY_MAX_ONLINE, TypeGraph, check_consistency,
+from matchlab.iid import (CONSISTENCY_MAX_ONLINE, check_consistency,
                           gadget_overflow_count, make_min_degree_rule,
                           materialize_instance,
                           run_greedy_iid, run_min_degree, run_rule,
@@ -22,7 +22,7 @@ SEED = 40320
 
 
 def _tg(adj, n_offline):
-    return TypeGraph.from_graph(BipartiteGraph.from_rows(len(adj), n_offline, adj))
+    return BipartiteGraph.from_rows(len(adj), n_offline, adj)
 
 
 def _identity_tg(n):
@@ -31,10 +31,10 @@ def _identity_tg(n):
 
 def test_type_graph_freezes_offline_degrees():
     tg = _tg([[0, 1], [1]], 2)
-    assert tg.static_degree.tolist() == [1, 2]
-    assert tg.n_types == 2 and tg.n_offline == 2
+    assert tg.offline_degrees.tolist() == [1, 2]
+    assert tg.n_online == 2 and tg.n_offline == 2
     with pytest.raises(ValueError):
-        tg.static_degree[0] = 5
+        tg.offline_degrees[0] = 5
 
 
 def test_sampling_shape_determinism_and_range():
@@ -69,14 +69,14 @@ def test_materialized_instance_mirrors_the_drawn_types():
     g = materialize_instance(tg, inst)
     assert g.n_online == 2 and g.n_offline == 3
     for pos, t in enumerate(inst.draws):
-        assert g.neighbors(pos).tolist() == tg.base.neighbors(int(t)).tolist()
+        assert g.neighbors(pos).tolist() == tg.neighbors(int(t)).tolist()
 
 
 def test_min_degree_rule_uses_static_not_residual_degrees():
     # offline 0 is scarce (degree 1), offline 1 and 2 are busier; after
     # vertex 1 is taken, vertex 2's residual scarcity must not matter
     tg = _tg([[0, 1], [1, 2], [1, 2]], 3)
-    assert tg.static_degree.tolist() == [1, 3, 2]
+    assert tg.offline_degrees.tolist() == [1, 3, 2]
     rule = make_min_degree_rule(tg)
     # a fixed priority by static degree: scarce 0, then 2, then busy 1
     assert rule.tolist() == [0, 2, 1]
@@ -171,12 +171,11 @@ def test_consistency_holds_for_index_and_degree_rules():
         _tg([[0, 1]], 2),
     ]
     for tg in graphs:
-        for factory in (lambda tg=tg: tie_rule(tg.n_offline),
-                        lambda tg=tg: make_min_degree_rule(tg),
-                        lambda tg=tg: make_min_degree_rule(tg, "max-index")):
-            report = check_consistency(tg, factory)
+        for rule in (tie_rule(tg.n_offline), make_min_degree_rule(tg),
+                     make_min_degree_rule(tg, "max-index")):
+            report = check_consistency(tg, rule)
             assert report.ok, report.violations
-            assert report.sequences_checked == tg.n_types ** tg.n_types
+            assert report.sequences_checked == tg.n_online ** tg.n_online
 
 
 def test_consistency_checker_flags_the_position_dependent_rule():
@@ -223,13 +222,12 @@ def test_ratio_estimate_replays_per_seed():
 
 def test_gadget_overflow_counting():
     g, desc = gen_min_degree_hard(2, 2, 1)
-    tg = TypeGraph.from_graph(g)
-    inst = sample_instance(tg, 0)
+    inst = sample_instance(g, 0)
     cap = desc.extra["gadget_capacity"]
     (g1_lo, g1_hi), _ = desc.extra["gadget_online"]
     # force every draw into the first gadget: far beyond its capacity
     inst.draws[:] = g1_lo
-    assert tg.n_types > cap
+    assert g.n_online > cap
     assert gadget_overflow_count(desc, inst) == 1
     inst.draws[:] = 0  # all copy arrivals: no gadget pressure at all
     assert gadget_overflow_count(desc, inst) == 0
@@ -246,8 +244,7 @@ def test_hard_family_sampled_optimum_floor_with_gadget_capacity():
     # optimum is then exactly n - sum over copies of
     # D = max over m >= 0 of (arrivals in the copy's last m blocks - mL)
     L, N, K = 10, 10, 20
-    g, desc = gen_min_degree_hard(L, N, K)
-    tg = TypeGraph.from_graph(g)
+    tg, desc = gen_min_degree_hard(L, N, K)
     samples = 100
     checked = 0
     for t in range(samples):
@@ -261,9 +258,9 @@ def test_hard_family_sampled_optimum_floor_with_gadget_capacity():
             late = np.cumsum(per_block[::-1]) - L * np.arange(1, N + 1)
             deficiency += max(0, int(late.max()))
         size = maximum_matching(materialize_instance(tg, inst)).size
-        assert size == tg.n_types - deficiency, (
+        assert size == tg.n_online - deficiency, (
             f"sample {t}: sampled optimum {size}, but the copies' Hall "
-            f"deficiencies leave {tg.n_types - deficiency}")
+            f"deficiencies leave {tg.n_online - deficiency}")
         checked += 1
     assert checked >= samples - 1, (
         f"gadgets overflowed in {samples - checked} of {samples} samples")

@@ -70,6 +70,15 @@ def test_isolated_vertices_consume_iterations_but_never_match():
     assert m.size == 2
 
 
+def _degrees_match(state, g):
+    """Recompute every alive degree from the live state's masks and compare."""
+    for u in np.flatnonzero(state.alive_online_mask()):
+        nb = g.neighbors(int(u))
+        if int(state.alive_offline[nb].sum()) != int(state.curdeg[u]):
+            return False
+    return True
+
+
 def test_live_state_degree_bookkeeping_matches_recomputation():
     for i in range(25):
         rng = make_rng(derive_seed(SEED, 300 + i))
@@ -77,7 +86,7 @@ def test_live_state_degree_bookkeeping_matches_recomputation():
                              0.35, rng)
         checks = []
         run_min_ranking(g, derive_seed(SEED, 400 + i),
-                        on_step=lambda st: checks.append(st.verify(g)))
+                        on_step=lambda st: checks.append(_degrees_match(st, g)))
         assert all(checks)
 
 

@@ -15,9 +15,9 @@ from matchlab import online, priority
 from matchlab.graphs import (BipartiteGraph, Matching, Permutation,
                              graph_from_dict, graph_to_dict, maximum_matching,
                              verify_matching)
-from matchlab.iid import (TypeGraph, make_min_degree_rule,
-                          materialize_instance, run_greedy_iid, run_min_degree,
-                          run_rule, sample_instance)
+from matchlab.iid import (make_min_degree_rule, materialize_instance,
+                          run_greedy_iid, run_min_degree, run_rule,
+                          sample_instance)
 from matchlab.online import (TIE_BREAKS, run_category_advice, run_greedy,
                              run_ranking, tie_rule)
 from matchlab.priority import (LiveState, run_min_greedy, run_min_ranking,
@@ -89,13 +89,12 @@ def test_every_chooser_yields_a_maximal_matching(case, random, seed):
     for m in runs:
         assert verify_matching(g, m) and _is_maximal(g, m)
     if g.n_online:  # known-IID rules, scored on the materialized instance
-        tg = TypeGraph.from_graph(g)
-        inst = sample_instance(tg, seed)
-        gi = materialize_instance(tg, inst)
+        inst = sample_instance(g, seed)
+        gi = materialize_instance(g, inst)
         for tie in TIE_BREAKS:
             for rule in (tie_rule(g.n_offline, tie, seed),
-                         make_min_degree_rule(tg, tie, seed)):
-                m = run_rule(tg, inst.draws, rule)
+                         make_min_degree_rule(g, tie, seed)):
+                m = run_rule(g, inst.draws, rule)
                 assert verify_matching(gi, m) and _is_maximal(gi, m)
 
 
@@ -142,13 +141,12 @@ def test_rank_pass_matches_the_chooser_reference(case, seed):
                                            lambda r, avail, pos: avail[end])
         assert np.array_equal(run_greedy(g, arrival, tie).partner_of_online, ref)
         if g.n_online:
-            tg = TypeGraph.from_graph(g)
-            inst = sample_instance(tg, seed)
+            inst = sample_instance(g, seed)
             rows = inst.draws.tolist()
             for run, degree in ((run_greedy_iid, np.zeros(g.n_offline, np.int64)),
-                                (run_min_degree, tg.static_degree)):
+                                (run_min_degree, g.offline_degrees)):
                 want = _chooser_pass(g, rows, _least_degree(degree, end))
-                assert np.array_equal(run(tg, inst, tie).partner_of_online, want)
+                assert np.array_equal(run(g, inst, tie).partner_of_online, want)
     for k in (1, 2, 3):
         _, sizes = run_category_advice(g, arrival, k)
         with mock.patch.object(online, "arrival_pass", lambda g, rows, rank:
