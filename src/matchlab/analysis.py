@@ -34,7 +34,6 @@ class TrialStats:
     ci_low: float
     ci_high: float
     count: int
-    seed: int | None = None
 
     @property
     def ci(self) -> tuple[float, float]:
@@ -45,7 +44,7 @@ class TrialStats:
         return math.sqrt(self.variance / self.count)
 
 
-def trial_stats(values, seed: int | None = None) -> TrialStats:
+def trial_stats(values) -> TrialStats:
     """Mean, sample variance and normal 95% CI of the trial values."""
     arr = np.asarray(values, dtype=np.float64)
     n = arr.size
@@ -58,8 +57,7 @@ def trial_stats(values, seed: int | None = None) -> TrialStats:
         variance = 0.0
     half = 1.96 * math.sqrt(variance / n)
     return TrialStats(mean=mean, variance=variance,
-                      ci_low=mean - half, ci_high=mean + half,
-                      count=n, seed=seed)
+                      ci_low=mean - half, ci_high=mean + half, count=n)
 
 
 def expected_y_exact(n: int) -> float:
@@ -113,7 +111,7 @@ def simulate_chain(n: int, trials: int, seed: int) -> TrialStats:
     for t in range(n):
         x = float(n - t)
         y += rng.random(trials) < PENDANT_STEP["minranking"](x, y)
-    return trial_stats(y, seed=seed)
+    return trial_stats(y)
 
 
 def simulate_rhs_empirical(n: int, trials: int, seed: int) -> TrialStats:
@@ -136,7 +134,7 @@ def simulate_rhs_empirical(n: int, trials: int, seed: int) -> TrialStats:
         order = Permutation.random(2 * n, rng)
         _, pendants = run_rhs_greedy(g, desc, order)
         counts[t] = pendants
-    return trial_stats(counts, seed=seed)
+    return trial_stats(counts)
 
 
 def ode_root(n: int, tol: float = 1e-9) -> float:

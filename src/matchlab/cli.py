@@ -15,10 +15,10 @@ import json
 import os
 import sys
 
-from matchlab.experiments import (DEFAULT_SEED, FAMILY_BUILDERS, ALGORITHMS,
-                                  REPRODUCTIONS, TYPE_FAMILIES, ExperimentSpec,
-                                  build_family, params_label, reproduce,
-                                  run_experiment, summarize_rows)
+from matchlab.experiments import (DEFAULT_SEED, ALGORITHMS, REPRODUCTIONS,
+                                  ExperimentSpec, reproduce, run_experiment,
+                                  summarize_rows)
+from matchlab.families import FAMILIES, TYPE_FAMILIES, build_family, params_label
 from matchlab.graphs import graph_from_dict, graph_to_dict, maximum_matching
 from matchlab.online import TIE_BREAKS
 
@@ -41,6 +41,8 @@ def _parse_params(pairs: list[str]) -> dict:
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise ValueError(f"expected NAME=VALUE, got {item!r}")
+        if name in params:
+            raise ValueError(f"parameter {name!r} given more than once")
         try:
             params[name] = int(value)
         except ValueError:
@@ -95,17 +97,14 @@ def cmd_run(args) -> int:
             "params": params_label(spec.family, spec.family_params),
             "algorithm": spec.algorithm_label(), "seed": seed}
     if args.format == "csv":
-        lines = [CSV_HEADER]
+        label = ",".join(str(v) for v in head.values())
         if args.per_trial:
-            for r in rows:
-                lines.append(f"{r.family},{r.params},{r.algorithm},{r.seed},"
-                             f"{r.trial},{_num(r.alg_size)},{_num(r.opt_size)},"
-                             f"{_num(r.ratio)}")
+            lines = [f"{label},{r.trial},{_num(r.alg_size)},"
+                     f"{_num(r.opt_size)},{_num(r.ratio)}" for r in rows]
         else:
-            lines.append(f"{head['family']},{head['params']},{head['algorithm']},"
-                         f"{seed},summary,{_num(summary['alg_mean'])},"
-                         f"{_num(summary['opt_mean'])},{_num(summary['ratio'])}")
-        _emit("\n".join(lines) + "\n", args.out)
+            lines = [f"{label},summary,{_num(summary['alg_mean'])},"
+                     f"{_num(summary['opt_mean'])},{_num(summary['ratio'])}"]
+        _emit("\n".join([CSV_HEADER, *lines]) + "\n", args.out)
         return 0
     doc = {"schema": 1, "spec": spec.to_dict(),
            "summary": {**head, "trial": "summary", **summary}}
@@ -128,7 +127,10 @@ def cmd_reproduce(args) -> int:
 
 def cmd_oracle(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{args.file}: JSON nested too deeply") from None
     g = graph_from_dict(doc)
     print(maximum_matching(g).size)
     return 0
@@ -141,14 +143,14 @@ def build_parser() -> _Parser:
                                 parser_class=_Parser)
 
     p_gen = sub.add_parser("generate", help="emit a family instance as JSON")
-    p_gen.add_argument("family", choices=sorted(FAMILY_BUILDERS))
+    p_gen.add_argument("family", choices=sorted(FAMILIES))
     p_gen.add_argument("params", nargs="*", metavar="NAME=VALUE",
                        help="family parameters, e.g. k=3")
     p_gen.add_argument("--out", help="output path (default stdout)")
     p_gen.set_defaults(func=cmd_generate)
 
     p_run = sub.add_parser("run", help="run an algorithm over trials")
-    p_run.add_argument("family", choices=sorted(FAMILY_BUILDERS))
+    p_run.add_argument("family", choices=sorted(FAMILIES))
     p_run.add_argument("params", nargs="*", metavar="NAME=VALUE")
     p_run.add_argument("--algorithm", required=True, choices=list(ALGORITHMS))
     p_run.add_argument("--trials", type=int, default=1)

@@ -19,87 +19,26 @@ import numpy as np
 from matchlab.analysis import (expected_bp_sizes, expected_padded_sizes,
                                expected_y_exact, ode_root, simulate_chain,
                                simulate_rhs_empirical, trial_stats)
-from matchlab.families import (FamilyDescriptor, fibonacci,
-                               fibonacci_family_edges, gadget_slack,
-                               gen_besser_poloczek, gen_fibonacci_family,
-                               gen_goel_mehta, gen_h_graph,
-                               gen_kvv_triangular, gen_min_degree_hard)
-from matchlab.graphs import (BipartiteGraph, check_vertex_counts,
-                             maximum_matching)
+from matchlab.families import TYPE_FAMILIES, build_family, fibonacci
+from matchlab.graphs import Permutation, maximum_matching
 from matchlab.iid import (gadget_overflow_count, run_greedy_iid,
                           run_min_degree, sample_instance)
 from matchlab.online import (TIE_BREAKS, run_category_advice, run_greedy,
                              run_ranking)
-from matchlab.graphs import Permutation
 from matchlab.priority import run_min_greedy, run_min_ranking
 from matchlab.rng import derive_seed, make_rng
 
 DEFAULT_SEED = 101
 
-# family name -> (generator, canonical parameter order, edge count,
-# (online, offline) vertex counts)
-FAMILY_BUILDERS = {
-    "fibonacci": (gen_fibonacci_family, ("k",), fibonacci_family_edges,
-                  lambda k: (fibonacci(2 * k + 1),) * 2),
-    "kvv": (gen_kvv_triangular, ("n",), lambda n: n * (n + 1) // 2,
-            lambda n: (n, n)),
-    "bp": (gen_besser_poloczek, ("b",), lambda b: 5 * b**3 + 2 * b**2 + 2 * b,
-           lambda b: (2 * b * b + 2 * b,) * 2),
-    "hgraph": (gen_h_graph, ("n", "k"), lambda n, k: n * (k + 1),
-               lambda n, k: (n, n + k)),
-    "goelmehta": (gen_goel_mehta, ("L", "N"), lambda L, N: L * L * N * (N + 1) // 2,
-                  lambda L, N: (L * N, L * N)),
-    "mindegreehard": (gen_min_degree_hard, ("L", "N", "K"),
-                      lambda L, N, K: (K * L * L * N * (N + 1)
-                                       + L * N * (L + gadget_slack(L))),
-                      lambda L, N, K: (L * N * (K + 1),
-                                       L * N * K + N * (L + gadget_slack(L)))),
-}
-
-# Most edges build_family will generate: twelve times the 5.02M edges of
-# bp b=100, the largest benchmark graph.  Larger inputs are refused so that
-# a typo never exhausts memory.
-MAX_EDGES = 60_000_000
-
-# families whose online side is a type set sampled IID rather than a
-# concrete arrival sequence
-TYPE_FAMILIES = frozenset({"goelmehta", "mindegreehard"})
+# Most trials one experiment runs: 200 times the 5,000 of ranking-kvv, the
+# largest pinned count.  A trial held for per-trial JSON output costs about
+# 2.5 KB, so larger counts are refused before any trial runs.
+MAX_TRIALS = 1_000_000
 
 ALGORITHMS = ("greedy", "ranking", "category-advice",
               "mingreedy", "minranking", "mindegree", "greedy-iid")
 
 IID_ALGORITHMS = frozenset({"mindegree", "greedy-iid"})
-
-
-def build_family(family: str, params: dict) -> tuple[BipartiteGraph, FamilyDescriptor]:
-    """Instantiate a named family; validates name, parameter keys and size.
-
-    Families with more than MAX_EDGES edges, or more than
-    graphs.MAX_VERTICES vertices on a side, are refused before anything
-    is allocated.
-    """
-    if family not in FAMILY_BUILDERS:
-        raise ValueError(f"unknown family {family!r}; "
-                         f"choose from {sorted(FAMILY_BUILDERS)}")
-    gen, names, edges, sides = FAMILY_BUILDERS[family]
-    missing = [p for p in names if p not in params]
-    extra = [p for p in params if p not in names]
-    if missing or extra:
-        raise ValueError(f"family {family!r} takes parameters {list(names)}; "
-                         f"missing {missing}, unexpected {extra}")
-    args = [int(params[p]) for p in names]
-    n_edges = edges(*args)
-    if n_edges > MAX_EDGES:
-        raise ValueError(f"family {family!r} with {params_label(family, params)} "
-                         f"has {n_edges} edges, above the cap of {MAX_EDGES}")
-    check_vertex_counts(*sides(*args))
-    return gen(*args)
-
-
-def params_label(family: str, params: dict) -> str:
-    """Canonical one-token rendering of family parameters (CSV-safe)."""
-    names = FAMILY_BUILDERS[family][1]
-    return ";".join(f"{p}={int(params[p])}" for p in names)
 
 
 @dataclass
@@ -119,8 +58,8 @@ class ExperimentSpec:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; "
                              f"choose from {list(ALGORITHMS)}")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must lie in 1..{MAX_TRIALS}")
         if self.algorithm in IID_ALGORITHMS and self.family not in TYPE_FAMILIES:
             raise ValueError(f"{self.algorithm} needs a type-graph family "
                              f"({sorted(TYPE_FAMILIES)})")
@@ -152,12 +91,8 @@ class ExperimentSpec:
 
 @dataclass
 class TrialRow:
-    """One output row; the aggregate row uses trial index -1."""
+    """One trial's algorithm and optimum sizes; the CLI adds the labels."""
 
-    family: str
-    params: str
-    algorithm: str
-    seed: int
     trial: int
     alg_size: float
     opt_size: float
@@ -226,10 +161,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[TrialRow]:
             futures = [pool.submit(_run_block, d, int(lo), int(hi))
                        for lo, hi in zip(bounds[:-1], bounds[1:])]
             triples = [row for f in futures for row in f.result()]
-    label = params_label(spec.family, spec.family_params)
-    alg = spec.algorithm_label()
-    return [TrialRow(spec.family, label, alg, spec.seed, t, a, o)
-            for t, a, o in sorted(triples)]
+    return [TrialRow(*triple) for triple in sorted(triples)]
 
 
 def summarize_rows(rows: list[TrialRow]) -> dict:

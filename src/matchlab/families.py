@@ -5,16 +5,19 @@ FamilyDescriptor recording the block layout and the known maximum matching
 size.  The canonical arrival order is the identity: vertices are laid out
 top-to-bottom.  Indices inside a block are contiguous, and blocks appear
 in ascending index order, so index-based tie rules act block-adversarially.
+`FAMILIES` names each generator for the command line, together with its
+parameter names and its size in closed form.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from matchlab.graphs import BipartiteGraph
+from matchlab.graphs import BipartiteGraph, check_size
 
 MAX_FIB_INDEX = 92  # largest index whose value fits in a signed 64-bit int
 
@@ -50,17 +53,6 @@ class FamilyDescriptor:
             "arrival": "identity",
             "extra": {k: v for k, v in self.extra.items()},
         }
-
-
-def fibonacci_family_edges(k: int) -> int:
-    """Edge count of gen_fibonacci_family(k), without building it.
-
-    Level 1 has 3 edges; level l + 1 has F_{2l+2} (F_{2l+1} + 1) more.
-    """
-    if not 1 <= k <= 11:
-        raise ValueError("k must lie in 1..11 (desk-scale guard)")
-    return 3 + sum(fibonacci(2 * i + 2) * (fibonacci(2 * i + 1) + 1)
-                   for i in range(1, k))
 
 
 def gen_fibonacci_family(k: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
@@ -260,3 +252,56 @@ def gen_min_degree_hard(L: int, N: int, K: int) -> tuple[BipartiteGraph, FamilyD
             "copy_offline": [(i * ln, (i + 1) * ln) for i in range(K)],
         })
     return g, desc
+
+
+# family name -> (generator, canonical parameter order, closed-form
+# (n_online, n_offline, n_edges) of the graph it generates).  Fibonacci
+# level 1 has 3 edges; level l + 1 adds F_{2l+2} (F_{2l+1} + 1) more.
+FAMILIES = {
+    "fibonacci": (gen_fibonacci_family, ("k",),
+                  lambda k: (fibonacci(2 * k + 1), fibonacci(2 * k + 1),
+                             3 + sum(fibonacci(2 * i + 2) * (fibonacci(2 * i + 1) + 1)
+                                     for i in range(1, k)))),
+    "kvv": (gen_kvv_triangular, ("n",), lambda n: (n, n, n * (n + 1) // 2)),
+    "bp": (gen_besser_poloczek, ("b",),
+           lambda b: (2 * b * b + 2 * b, 2 * b * b + 2 * b,
+                      5 * b**3 + 2 * b**2 + 2 * b)),
+    "hgraph": (gen_h_graph, ("n", "k"), lambda n, k: (n, n + k, n * (k + 1))),
+    "goelmehta": (gen_goel_mehta, ("L", "N"),
+                  lambda L, N: (L * N, L * N, L * L * N * (N + 1) // 2)),
+    "mindegreehard": (gen_min_degree_hard, ("L", "N", "K"),
+                      lambda L, N, K: (L * N * (K + 1),
+                                       L * N * K + N * (L + gadget_slack(L)),
+                                       K * L * L * N * (N + 1)
+                                       + L * N * (L + gadget_slack(L)))),
+}
+
+# families whose online side is a type set sampled IID rather than a
+# concrete arrival sequence
+TYPE_FAMILIES = frozenset({"goelmehta", "mindegreehard"})
+
+
+def build_family(family: str, params: dict) -> tuple[BipartiteGraph, FamilyDescriptor]:
+    """Instantiate a named family; validates name, parameter keys and size.
+
+    Parameters must be integers (`operator.index`).  The closed-form size
+    goes through graphs.check_size, so a family above the vertex or edge
+    cap is refused before anything is allocated.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; "
+                         f"choose from {sorted(FAMILIES)}")
+    gen, names, sizes = FAMILIES[family]
+    missing = [p for p in names if p not in params]
+    extra = [p for p in params if p not in names]
+    if missing or extra:
+        raise ValueError(f"family {family!r} takes parameters {list(names)}; "
+                         f"missing {missing}, unexpected {extra}")
+    args = [operator.index(params[p]) for p in names]
+    check_size(*sizes(*args))
+    return gen(*args)
+
+
+def params_label(family: str, params: dict) -> str:
+    """Canonical one-token rendering of family parameters (CSV-safe)."""
+    return ";".join(f"{p}={int(params[p])}" for p in FAMILIES[family][1])

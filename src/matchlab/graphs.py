@@ -20,10 +20,12 @@ import numpy as np
 
 BRUTE_FORCE_MAX_ONLINE = 12
 
-# Most vertices per side of a graph read from a document or generated by
-# name: 99 times the 20,200 per side of bp b=100, the largest benchmark
-# graph.  Larger counts are refused before anything is allocated.
+# Most vertices per side, and most edges, of a graph read from a document
+# or generated by name: 99 times the 20,200 per side and twelve times the
+# 5.02M edges of bp b=100, the largest benchmark graph.  Larger graphs are
+# refused before anything is allocated, so a typo never exhausts memory.
 MAX_VERTICES = 2_000_000
+MAX_EDGES = 60_000_000
 
 
 def _rows_increasing(indptr: np.ndarray, indices: np.ndarray) -> bool:
@@ -296,11 +298,13 @@ def random_bipartite(n_online: int, n_offline: int, p: float,
     return BipartiteGraph(n_online, n_offline, indptr, np.nonzero(mask)[1])
 
 
-def check_vertex_counts(n_online: int, n_offline: int) -> None:
-    """Refuse a graph with more than MAX_VERTICES vertices on either side."""
+def check_size(n_online: int, n_offline: int, n_edges: int) -> None:
+    """Refuse a graph above MAX_VERTICES on a side or above MAX_EDGES."""
     if max(n_online, n_offline) > MAX_VERTICES:
         raise ValueError(f"{n_online} online and {n_offline} offline vertices, "
                          f"above the cap of {MAX_VERTICES} per side")
+    if n_edges > MAX_EDGES:
+        raise ValueError(f"{n_edges} edges, above the cap of {MAX_EDGES}")
 
 
 def graph_to_dict(g: BipartiteGraph) -> dict:
@@ -319,9 +323,9 @@ def graph_from_dict(d: dict) -> BipartiteGraph:
     # bool is an int subclass, so counts and ids are checked by exact type
     if type(n_online) is not int or type(n_offline) is not int:
         raise ValueError("vertex counts must be integers")
-    check_vertex_counts(n_online, n_offline)
     if not isinstance(adj, list) or not all(isinstance(r, list) for r in adj):
         raise ValueError("adj must be a list of lists")
+    check_size(n_online, n_offline, sum(map(len, adj)))
     if any(type(v) is not int for r in adj for v in r):
         raise ValueError("vertex ids must be integers")
     return BipartiteGraph.from_rows(n_online, n_offline, adj)

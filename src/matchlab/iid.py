@@ -27,6 +27,7 @@ from matchlab.online import arrival_pass, tie_rule
 from matchlab.rng import make_rng
 
 CONSISTENCY_MAX_ONLINE = 6
+CONSISTENCY_MAX_VIOLATIONS = 16  # violations a consistency report keeps
 
 
 @dataclass
@@ -103,8 +104,7 @@ class ConsistencyReport:
         return not self.violations
 
 
-def check_consistency(g: BipartiteGraph, rule,
-                      max_violations: int = 16) -> ConsistencyReport:
+def check_consistency(g: BipartiteGraph, rule) -> ConsistencyReport:
     """Exhaustively test a decision rule for arrival-order consistency.
 
     Enumerates every arrival sequence of length |U| over the types and
@@ -130,7 +130,7 @@ def check_consistency(g: BipartiteGraph, rule,
         prev = seen.setdefault(t, {}).get(key)
         if prev is None:
             seen[t][key] = (v, seq, pos)
-        elif prev[0] != v and len(violations) < max_violations:
+        elif prev[0] != v and len(violations) < CONSISTENCY_MAX_VIOLATIONS:
             violations.append({
                 "kind": "same-context", "type": t, "avail": sorted(key),
                 "matches": (prev[0], v),
@@ -147,7 +147,7 @@ def check_consistency(g: BipartiteGraph, rule,
         contexts += len(keys)
         for big, small in itertools.permutations(keys, 2):
             if small < big and ctx[big][0] in small and ctx[small][0] != ctx[big][0]:
-                if len(violations) < max_violations:
+                if len(violations) < CONSISTENCY_MAX_VIOLATIONS:
                     violations.append({
                         "kind": "subset", "type": t,
                         "avail": sorted(big), "sub_avail": sorted(small),

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from matchlab import cli, experiments, graphs
+from matchlab import cli, experiments, families, graphs
 from matchlab.experiments import (REPRODUCTIONS, ExperimentSpec,
                                   ReproduceResult, run_experiment)
 
@@ -106,6 +106,25 @@ def test_oracle_rejects_malformed_graphs_with_one_line(tmp_path, capsys, doc):
     assert out == "" and err.startswith("matchlab: error:") and err.count("\n") == 1
 
 
+def test_oracle_refuses_deeply_nested_documents_with_one_line(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 3000 + "]" * 3000)
+    assert cli.main(["oracle", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "nested too deeply" in err
+
+
+def test_trial_counts_above_the_cap_are_refused_before_any_trial(monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("no trial may run above the trial cap")
+    monkeypatch.setattr(experiments, "_run_block", never)
+    args = ["run", "kvv", "n=2", "--algorithm", "ranking", "--trials"]
+    assert cli.main([*args, str(experiments.MAX_TRIALS + 1)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert f"trials must lie in 1..{experiments.MAX_TRIALS}" in err
+
+
 @pytest.mark.parametrize("args", [["-c", "import matchlab.cli"],
                                   ["-m", "matchlab.cli", "--help"]])
 def test_import_and_help_leave_scipy_unimported(args):
@@ -139,7 +158,7 @@ def test_workers_are_capped_at_trials_and_cpu_count(monkeypatch):
 
 
 def test_generate_refuses_families_above_the_edge_cap(monkeypatch, capsys):
-    monkeypatch.setattr(experiments, "MAX_EDGES", 200)
+    monkeypatch.setattr(graphs, "MAX_EDGES", 200)
     assert cli.main(["generate", "kvv", "n=20"]) == 1  # 210 edges
     out, err = capsys.readouterr()
     assert out == "" and "210 edges, above the cap of 200" in err
@@ -153,8 +172,8 @@ def test_generate_refuses_families_above_the_edge_cap(monkeypatch, capsys):
 def test_generate_refuses_families_above_the_vertex_cap(monkeypatch, capsys):
     monkeypatch.setattr(graphs, "MAX_VERTICES", 20)
     built = []
-    gen, *rest = experiments.FAMILY_BUILDERS["hgraph"]
-    monkeypatch.setitem(experiments.FAMILY_BUILDERS, "hgraph",
+    gen, *rest = families.FAMILIES["hgraph"]
+    monkeypatch.setitem(families.FAMILIES, "hgraph",
                         (lambda *a: built.append(a) or gen(*a), *rest))
     assert cli.main(["generate", "hgraph", "n=11", "k=10"]) == 1  # 21 offline
     out, err = capsys.readouterr()
@@ -193,6 +212,9 @@ def test_usage_errors_exit_one():
     assert run_cli("run", "kvv", "n=0", "--algorithm", "ranking").returncode == 1
     assert run_cli("run", "kvv", "n=five", "--algorithm", "ranking").returncode == 1
     assert run_cli("run", "kvv", "b=5", "--algorithm", "ranking").returncode == 1
+    twice = run_cli("run", "kvv", "n=3", "n=5", "--algorithm", "greedy")
+    assert twice.returncode == 1 and not twice.stdout
+    assert twice.stderr.count("\n") == 1 and "'n' given more than once" in twice.stderr
     assert run_cli("reproduce", "unknown-name").returncode == 1
     assert run_cli("generate", "mystery", "k=2").returncode == 1
     assert run_cli("run", "kvv", "n=4", "--algorithm", "mindegree").returncode == 1

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from matchlab.experiments import FAMILY_BUILDERS, MAX_EDGES, build_family
-from matchlab.families import (MAX_FIB_INDEX, fibonacci, gadget_slack,
-                               gen_besser_poloczek, gen_fibonacci_family,
-                               gen_goel_mehta, gen_h_graph,
-                               gen_kvv_triangular, gen_min_degree_hard)
-from matchlab.graphs import MAX_VERTICES, BipartiteGraph, maximum_matching
+from matchlab.families import (FAMILIES, MAX_FIB_INDEX, build_family,
+                               fibonacci, gadget_slack, gen_besser_poloczek,
+                               gen_fibonacci_family, gen_goel_mehta,
+                               gen_h_graph, gen_kvv_triangular,
+                               gen_min_degree_hard)
+from matchlab.graphs import (MAX_EDGES, MAX_VERTICES, BipartiteGraph,
+                             maximum_matching)
 from matchlab.iid import sample_instance, materialize_instance
 from matchlab.rng import derive_seed
 
@@ -219,37 +220,61 @@ def test_descriptor_serialization_round_trips_block_maps():
     assert d["expected_opt"] == 6
 
 
-@pytest.mark.parametrize("family,params", [
+# eight spot cases, then a small grid over every family
+SIZE_CASES = [
     ("fibonacci", {"k": 1}), ("fibonacci", {"k": 5}), ("kvv", {"n": 7}),
     ("bp", {"b": 3}), ("hgraph", {"n": 5, "k": 2}), ("hgraph", {"n": 3, "k": 0}),
     ("goelmehta", {"L": 2, "N": 3}), ("mindegreehard", {"L": 3, "N": 2, "K": 2}),
-])
+    *[("fibonacci", {"k": k}) for k in range(1, 7)],
+    *[("kvv", {"n": n}) for n in range(1, 9)],
+    *[("bp", {"b": b}) for b in range(2, 6)],
+    *[("hgraph", {"n": n, "k": k}) for n in range(1, 6) for k in range(n + 1)],
+    *[("goelmehta", {"L": L, "N": N}) for L in (1, 2, 3) for N in (1, 2, 3)],
+    *[("mindegreehard", {"L": L, "N": N, "K": K})
+      for L in (1, 2) for N in (1, 2) for K in (1, 2)],
+]
+
+
+@pytest.mark.parametrize("family,params", SIZE_CASES)
 def test_edge_count_formula_matches_the_built_graph(family, params):
-    _, names, edges, sides = FAMILY_BUILDERS[family]
+    _, names, sizes = FAMILIES[family]
     g, _ = build_family(family, params)
-    args = [params[p] for p in names]
-    assert edges(*args) == g.n_edges
-    assert sides(*args) == (g.n_online, g.n_offline)
+    assert sizes(*(params[p] for p in names)) == (g.n_online, g.n_offline, g.n_edges)
+
+
+def _edges(family, *args):
+    return FAMILIES[family][2](*args)[2]
 
 
 def test_edge_cap_covers_the_benchmark_graphs_and_refuses_huge_ones():
-    edges = {name: entry[2] for name, entry in FAMILY_BUILDERS.items()}
-    assert edges["bp"](100) == 5_020_200  # the largest benchmark graph
-    assert MAX_EDGES >= 10 * edges["bp"](100)
-    assert edges["kvv"](10 ** 6) == 500_000_500_000 > MAX_EDGES
-    assert edges["fibonacci"](10) < MAX_EDGES < edges["fibonacci"](11)
+    assert _edges("bp", 100) == 5_020_200  # the largest benchmark graph
+    assert MAX_EDGES >= 10 * _edges("bp", 100)
+    assert _edges("kvv", 10 ** 6) == 500_000_500_000 > MAX_EDGES
+    assert _edges("fibonacci", 10) < MAX_EDGES < _edges("fibonacci", 11)
+    # the fibonacci generator's own guard and the caps refuse every k it
+    # cannot build
+    for k, message in ((0, "k must lie in 1..11"), (12, "above the cap"),
+                       (100, "fibonacci index must lie")):
+        with pytest.raises(ValueError, match=message):
+            build_family("fibonacci", {"k": k})
 
 
 def test_vertex_cap_refuses_families_the_edge_cap_lets_through(monkeypatch):
-    assert FAMILY_BUILDERS["bp"][3](100) == (20_200, 20_200)  # largest benchmark graph
+    assert FAMILIES["bp"][2](100)[:2] == (20_200, 20_200)  # largest benchmark graph
     assert MAX_VERTICES >= 99 * 20_200
 
     def never(*args):
         raise AssertionError("a family above the cap must not be generated")
     for family, params in (("hgraph", {"n": 60_000_000, "k": 0}),
                            ("mindegreehard", {"L": 1, "N": 1, "K": 29_999_998})):
-        _, names, edges, _ = entry = FAMILY_BUILDERS[family]
-        assert edges(*(params[p] for p in names)) == MAX_EDGES
-        monkeypatch.setitem(FAMILY_BUILDERS, family, (never, *entry[1:]))
+        _, names, sizes = entry = FAMILIES[family]
+        assert sizes(*(params[p] for p in names))[2] == MAX_EDGES
+        monkeypatch.setitem(FAMILIES, family, (never, *entry[1:]))
         with pytest.raises(ValueError, match=f"above the cap of {MAX_VERTICES} per side"):
             build_family(family, params)
+
+
+def test_build_family_takes_integer_parameters_only():
+    assert build_family("kvv", {"n": np.int64(3)})[0].n_online == 3
+    with pytest.raises(TypeError):
+        build_family("kvv", {"n": 2.9})

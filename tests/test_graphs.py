@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from matchlab import graphs
 from matchlab.graphs import (BRUTE_FORCE_MAX_ONLINE, BipartiteGraph, Matching,
                              Permutation, brute_force_maximum_matching,
                              graph_from_dict, graph_to_dict, maximum_matching,
@@ -92,6 +93,15 @@ MALFORMED_GRAPH_DOCS = [
 def test_graph_from_dict_rejects_malformed_documents(doc):
     with pytest.raises(ValueError):
         graph_from_dict(doc)
+
+
+def test_graph_from_dict_refuses_documents_above_the_edge_cap(monkeypatch):
+    doc = {"n_online": 2, "n_offline": 2, "adj": [[0, 1], [1]]}
+    monkeypatch.setattr(graphs, "MAX_EDGES", 2)
+    with pytest.raises(ValueError, match="3 edges, above the cap of 2"):
+        graph_from_dict(doc)
+    monkeypatch.setattr(graphs, "MAX_EDGES", 3)
+    assert graph_from_dict(doc).n_edges == 3
 
 
 def test_matching_bookkeeping():
