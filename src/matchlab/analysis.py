@@ -253,7 +253,7 @@ def expected_padded_sizes(L: int, N: int, K: int) -> FiniteSizeExpectation:
     alg: a copy's offline vertices all tie, so max-index ties fill each
     copy from the top and its state is k, its matched count.  A copy
     arrival is then matched with probability ceil((LN - k)/L) / N, and
-    the number of arrivals a copy gets is Binomial(n, LN/n).
+    each of the n arrivals is a copy arrival with probability LN/n.
 
     opt: copy online block j sees copy offline blocks j..N, so by Hall's
     theorem a copy leaves D = max over m >= 0 of (arrivals in its last m
@@ -278,19 +278,12 @@ def expected_padded_sizes(L: int, N: int, K: int) -> FiniteSizeExpectation:
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
     counts = np.arange(n + 1)
 
-    # alg: E[k] after t copy arrivals, averaged over t ~ Binomial(n, LN/n)
+    # alg: each of the n arrivals lands in the copy with probability LN/n,
+    # so k is a chain thinned by that factor
+    dist = _count_chain(n, lambda x, k: ln / n * np.maximum(
+        np.ceil((ln - k) / L), 0.0) / N)
+    alg_copy = math.fsum(k * p for k, p in enumerate(dist))
     p_copy = _binom_pmf(n, ln / n, counts, log_fact)
-    k = np.arange(ln + 1)
-    hit = np.ceil((ln - k) / L) / N
-    dist = np.zeros(ln + 1)
-    dist[0] = 1.0
-    mean_k = np.empty(n + 1)
-    for t in range(n + 1):
-        mean_k[t] = dist @ k
-        new = dist * (1.0 - hit)
-        new[1:] += dist[:-1] * hit[:-1]
-        dist = new
-    alg_copy = math.fsum(p_copy * mean_k)
 
     # opt: state[u, d-1] = P(no crossing of mL + d yet, u arrivals so far),
     # truncated at the U beyond which the copy's arrival count has a tail

@@ -35,6 +35,10 @@ DEFAULT_SEED = 101
 # 2.5 KB, so larger counts are refused before any trial runs.
 MAX_TRIALS = 1_000_000
 
+# Most category-advice passes: 100 times the 10 that fibonacci-ratios runs.
+# Each pass is a full arrival pass, so larger counts are refused first.
+MAX_PASSES = 1_000
+
 ALGORITHMS = ("greedy", "ranking", "category-advice",
               "mingreedy", "minranking", "mindegree", "greedy-iid")
 
@@ -71,8 +75,8 @@ class ExperimentSpec:
                                  f"choose from {sorted(TIE_BREAKS)}")
         if self.passes is not None and self.algorithm != "category-advice":
             raise ValueError("pass count applies to category-advice only")
-        if self.passes is not None and self.passes < 1:
-            raise ValueError("pass count must be at least 1")
+        if self.passes is not None and not 1 <= self.passes <= MAX_PASSES:
+            raise ValueError(f"pass count must lie in 1..{MAX_PASSES}")
 
     def algorithm_label(self) -> str:
         if self.algorithm == "category-advice":

@@ -112,9 +112,10 @@ def check_consistency(g: BipartiteGraph, rule) -> ConsistencyReport:
     rule is consistent when the choice is a function of (type, available
     set) alone and shrinking the available set around a kept choice does
     not change it; both requirements are checked over all context pairs.
-    `rule` is a rank array or a chooser, reused for every sequence, so a
-    chooser must keep no state between calls; a rank array is recorded as
-    the chooser of its least-ranked available vertex.
+    `rule` is a priority or a chooser, reused for every sequence, so a
+    chooser must keep no state between calls.  A priority is an int64
+    key array, recorded as the chooser of the available vertex of least
+    key, the lowest index among equal keys.
     Guarded to |U| <= 6.
     """
     n = g.n_online

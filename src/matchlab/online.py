@@ -1,12 +1,14 @@
 """Single-pass and multipass online matching on a fixed arrival order.
 
 Arrivals are processed once each; an arrival is matched immediately to
-its free neighbor of least rank under a fixed offline priority (random
-ties: one picked by a chooser), or left unmatched forever.  Every
-one-pass algorithm in the package (greedy, ranking, each pass of category
-advice, and the known-IID rules) is `arrival_pass` with its own priority.
-The multipass variant reruns the same arrival order while refining the
-offline priority list from the categories collected in earlier passes.
+its free neighbor of least key under a fixed offline priority (random
+ties: one picked by a chooser), or left unmatched forever.  A priority
+is an int64 key array over the offline side: the least key wins, and
+among equal keys the lowest index wins.  Every one-pass algorithm in the
+package (greedy, ranking, each pass of category advice, and the
+known-IID rules) is `arrival_pass` with its own priority.  The multipass
+variant reruns the same arrival order with the categories collected in
+earlier passes as the key.
 """
 
 from __future__ import annotations
@@ -22,16 +24,17 @@ CATEGORY_NEG_INF = -(2 ** 62)
 
 TIE_BREAKS = ("lowest-index", "max-index", "random")
 
-# key of a taken offline vertex in the rank pass; above every rank
+# key of a taken offline vertex in the key pass; above every priority key
 _TAKEN = np.iinfo(np.int64).max
 
 
 def arrival_pass(g: BipartiteGraph, rows, rule) -> np.ndarray:
     """Partner taken by each arrival of one pass (-1: lost).
 
-    rows[p] is the graph row arriving at position p.  `rule` is a rank
-    array over the offline side, and each arrival takes its free neighbor
-    of least rank; or it is a chooser, and each arrival's free neighbors
+    rows[p] is the graph row arriving at position p.  `rule` is a
+    priority, an int64 key array over the offline side: each arrival
+    takes its free neighbor of least key, and among equal keys the one of
+    lowest index.  Or it is a chooser, and each arrival's free neighbors
     `avail` (sorted, non-empty) go to rule(row, avail, p), which returns
     one of them.  Arrivals with no free neighbor are lost.
     """
@@ -120,39 +123,23 @@ def run_ranking(g: BipartiteGraph, arrival: Permutation | None,
     return _online_pass(g, arrival, sigma.rank)
 
 
-def refine_sigma(sigma: Permutation, categories) -> Permutation:
-    """Reorder sigma with categories as the primary key.
-
-    The result ranks v1 before v2 iff categories[v1] < categories[v2], or
-    the categories tie and sigma ranks v1 before v2.  Equivalent to a
-    stable sort of the offline side by category.
-    """
-    cat = np.asarray(categories, dtype=np.int64)
-    if cat.size != len(sigma):
-        raise ValueError("categories must cover every offline vertex")
-    order = np.lexsort((sigma.rank, cat))
-    return Permutation(order)
-
-
 def run_category_advice(g: BipartiteGraph, arrival: Permutation | None = None,
                         k: int = 1) -> tuple[Matching, list[int]]:
     """k-pass matching with category advice; returns (last pass, sizes).
 
-    Pass i runs run_ranking with the current refined priority list, then
-    marks every vertex matched for the first time with category -i.
-    Unmatched vertices keep the sentinel and therefore outrank everything
-    in later passes; among matched vertices, later first-match wins.
-    The arrival order is identical in every pass.
+    Each pass is one arrival pass whose priority key is the category
+    array: CATEGORY_NEG_INF for a vertex never matched, -i for one first
+    matched in pass i.  Unmatched vertices therefore outrank everything
+    in later passes, among matched vertices later first-match wins, and
+    equal categories go to the lowest index.  The arrival order is
+    identical in every pass.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    base = Permutation.identity(g.n_offline)
     cat = np.full(g.n_offline, CATEGORY_NEG_INF, dtype=np.int64)
     sizes: list[int] = []
     for i in range(1, k + 1):
-        sigma_c = refine_sigma(base, cat)
-        m = run_ranking(g, arrival, sigma_c)
+        m = _online_pass(g, arrival, cat)
         sizes.append(m.size)
-        newly = (cat == CATEGORY_NEG_INF) & m.matched_offline_mask()
-        cat[newly] = -i
+        cat[(cat == CATEGORY_NEG_INF) & m.matched_offline_mask()] = -i
     return m, sizes

@@ -37,9 +37,10 @@ class LiveState:
 
 
 def _min_degree_loop(g: BipartiteGraph, rng: np.random.Generator | None,
-                     pick, on_step=None) -> Matching:
-    """Shared loop; pick(free_neighbors, rng) chooses the partner.
+                     rank: np.ndarray | None, on_step=None) -> Matching:
+    """Shared loop; the partner is the free neighbor of least `rank`.
 
+    rank=None takes a uniform free neighbor instead, one rng draw each.
     rng=None selects the lowest-index minimum-degree vertex instead of a
     uniform one (the deterministic variant used by equivalence tests).
     Isolated vertices are deleted unmatched, consuming one iteration.
@@ -64,7 +65,7 @@ def _min_degree_loop(g: BipartiteGraph, rng: np.random.Generator | None,
         nb = g.neighbors(u)
         f = nb[alive_v[nb]]
         assert f.size == d
-        v = int(pick(f, rng))
+        v = int(f[rng.integers(f.size)] if rank is None else f[rank[f].argmin()])
         m.match(u, v)
         alive_v[v] = False
         ws = g.offline_neighbors(v)
@@ -83,7 +84,7 @@ def _min_degree_loop(g: BipartiteGraph, rng: np.random.Generator | None,
 def run_min_greedy(g: BipartiteGraph, seed: int, on_step=None) -> Matching:
     """Min-degree selection, uniformly random free partner."""
     rng = make_rng(seed)
-    return _min_degree_loop(g, rng, lambda f, r: f[r.integers(f.size)], on_step)
+    return _min_degree_loop(g, rng, None, on_step)
 
 
 def run_min_ranking(g: BipartiteGraph, seed: int, on_step=None) -> Matching:
@@ -93,9 +94,8 @@ def run_min_ranking(g: BipartiteGraph, seed: int, on_step=None) -> Matching:
     selection among tied minimum-degree vertices stays random afterwards.
     """
     rng = make_rng(seed)
-    pi = Permutation.random(g.n_offline, rng)
-    rank = pi.rank
-    return _min_degree_loop(g, rng, lambda f, r: f[rank[f].argmin()], on_step)
+    rank = Permutation.random(g.n_offline, rng).rank
+    return _min_degree_loop(g, rng, rank, on_step)
 
 
 def run_min_ranking_fixed(g: BipartiteGraph, pi: Permutation, on_step=None) -> Matching:
@@ -107,8 +107,7 @@ def run_min_ranking_fixed(g: BipartiteGraph, pi: Permutation, on_step=None) -> M
     """
     if len(pi) != g.n_offline:
         raise ValueError("pi size must equal n_offline")
-    rank = pi.rank
-    return _min_degree_loop(g, None, lambda f, r: f[rank[f].argmin()], on_step)
+    return _min_degree_loop(g, None, pi.rank, on_step)
 
 
 def run_rhs_greedy(g: BipartiteGraph, desc: FamilyDescriptor,

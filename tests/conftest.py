@@ -1,5 +1,8 @@
 """Shared pytest plumbing for the acceptance summary block, plus the
-position-dependent control rule for the consistency checker."""
+position-dependent control rule for the consistency checker and the
+maximality check of a matching."""
+
+import numpy as np
 
 ACCEPTANCE_LINES: list[tuple[int, str]] = []
 
@@ -32,3 +35,10 @@ def parity_control_chooser(t, avail, pos):
     happens, not only on what is available.
     """
     return int(avail[0]) if pos % 2 == 0 else int(avail[-1])
+
+
+def is_maximal(g, m) -> bool:
+    """No unmatched arrival could still be matched to a free neighbor."""
+    return all(m.partner_of_online[u] >= 0
+               or np.all(m.partner_of_offline[g.neighbors(u)] >= 0)
+               for u in range(g.n_online))

@@ -125,6 +125,20 @@ def test_trial_counts_above_the_cap_are_refused_before_any_trial(monkeypatch, ca
     assert f"trials must lie in 1..{experiments.MAX_TRIALS}" in err
 
 
+def test_pass_counts_above_the_cap_are_refused_before_any_pass(monkeypatch, capsys):
+    args = ["run", "fibonacci", "k=1", "--algorithm", "category-advice", "--k"]
+    assert cli.main([*args, str(experiments.MAX_PASSES)]) == 0
+    assert f"category-advice(k={experiments.MAX_PASSES})" in capsys.readouterr().out
+
+    def never(*args, **kwargs):
+        raise AssertionError("no pass may run above the pass cap")
+    monkeypatch.setattr(experiments, "run_category_advice", never)
+    assert cli.main([*args, str(experiments.MAX_PASSES + 1)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert f"pass count must lie in 1..{experiments.MAX_PASSES}" in err
+
+
 @pytest.mark.parametrize("args", [["-c", "import matchlab.cli"],
                                   ["-m", "matchlab.cli", "--help"]])
 def test_import_and_help_leave_scipy_unimported(args):

@@ -1,6 +1,5 @@
 """Single-pass greedy/priority-list matching and the multi-pass refinement."""
 
-import numpy as np
 import pytest
 
 from matchlab.analysis import trial_stats
@@ -9,9 +8,11 @@ from matchlab.families import fibonacci, gen_fibonacci_family
 from matchlab.graphs import (BipartiteGraph, Matching, Permutation,
                              maximum_matching, random_bipartite,
                              verify_matching)
-from matchlab.online import (CATEGORY_NEG_INF, TIE_BREAKS, refine_sigma,
-                             run_category_advice, run_greedy, run_ranking)
+from matchlab.online import (TIE_BREAKS, run_category_advice, run_greedy,
+                             run_ranking)
 from matchlab.rng import derive_seed, make_rng
+
+from conftest import is_maximal
 
 SEED = 90125
 
@@ -19,17 +20,6 @@ SEED = 90125
 def _base_case():
     # two online, two offline: u0 sees both, u1 only the first
     return BipartiteGraph.from_rows(2, 2, [[0, 1], [0]])
-
-
-def _is_maximal(g, m):
-    """No arrival could still be matched to a free neighbor."""
-    for u in range(g.n_online):
-        if m.partner_of_online[u] >= 0:
-            continue
-        nb = g.neighbors(u)
-        if nb.size and np.any(m.partner_of_offline[nb] < 0):
-            return False
-    return True
 
 
 def test_greedy_lowest_index_blocks_the_base_case():
@@ -85,7 +75,7 @@ def test_ranking_output_is_always_a_maximal_matching():
         arrival = Permutation.random(g.n_online, rng)
         m = run_ranking(g, arrival, sigma)
         assert verify_matching(g, m)
-        assert _is_maximal(g, m)
+        assert is_maximal(g, m)
 
 
 def _ranking_sizes(family, params, trials, seed):
@@ -109,40 +99,6 @@ def test_ranking_random_is_exact_on_bicliques_and_deterministic():
     assert stats.mean == again.mean and stats.ci == again.ci
     with pytest.raises(ValueError):
         _ranking_sizes("goelmehta", {"L": 4, "N": 1}, 0, 3)
-
-
-def test_refine_sigma_defining_property_holds_pairwise():
-    rng = make_rng(SEED)
-    for _ in range(40):
-        n = 8
-        sigma = Permutation.random(n, rng)
-        cats = rng.integers(-3, 1, size=n)
-        out = refine_sigma(sigma, cats)
-        for v1 in range(n):
-            for v2 in range(n):
-                if v1 == v2:
-                    continue
-                should_precede = (cats[v1] < cats[v2]
-                                  or (cats[v1] == cats[v2]
-                                      and sigma.rank[v1] < sigma.rank[v2]))
-                assert (out.rank[v1] < out.rank[v2]) == should_precede
-
-
-def test_refine_sigma_constant_categories_is_identity_on_sigma():
-    sigma = Permutation([3, 1, 0, 2])
-    assert refine_sigma(sigma, [7, 7, 7, 7]) == sigma
-    assert refine_sigma(sigma, [CATEGORY_NEG_INF] * 4) == sigma
-    assert refine_sigma(Permutation.identity(2), [-1, CATEGORY_NEG_INF]).order.tolist() == [1, 0]
-    with pytest.raises(ValueError):
-        refine_sigma(sigma, [0, 0])
-
-
-def test_ranking_with_constant_category_refinement_changes_nothing():
-    rng = make_rng(derive_seed(SEED, 7))
-    g = random_bipartite(12, 12, 0.3, rng)
-    sigma = Permutation.random(12, rng)
-    refined = refine_sigma(sigma, np.zeros(12, dtype=int))
-    assert run_ranking(g, None, sigma) == run_ranking(g, None, refined)
 
 
 def test_multi_pass_base_case_sizes():
@@ -171,7 +127,7 @@ def test_multi_pass_sizes_are_monotone_and_each_pass_maximal():
         m, sizes = run_category_advice(g, k=5)
         assert sizes == sorted(sizes)
         assert verify_matching(g, m)
-        assert _is_maximal(g, m)
+        assert is_maximal(g, m)
 
 
 def test_multi_pass_meets_the_per_k_fraction_of_optimum():

@@ -12,17 +12,9 @@ from matchlab.priority import (run_min_greedy, run_min_ranking,
                                run_min_ranking_fixed, run_rhs_greedy)
 from matchlab.rng import derive_seed, make_rng
 
+from conftest import is_maximal
+
 SEED = 55511
-
-
-def _is_maximal(g, m):
-    for u in range(g.n_online):
-        if m.partner_of_online[u] >= 0:
-            continue
-        nb = g.neighbors(u)
-        if nb.size and np.any(m.partner_of_offline[nb] < 0):
-            return False
-    return True
 
 
 def test_min_greedy_perfect_on_triangular_graphs():
@@ -57,7 +49,7 @@ def test_min_algorithms_are_valid_maximal_and_deterministic():
         for run in (run_min_greedy, run_min_ranking):
             m = run(g, derive_seed(SEED, i))
             assert verify_matching(g, m)
-            assert _is_maximal(g, m)
+            assert is_maximal(g, m)
             assert m == run(g, derive_seed(SEED, i))
 
 

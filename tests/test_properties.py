@@ -1,5 +1,6 @@
 """Property-based checks of the CSR graph, the arrival-pass kernel and
-the min-degree loop, the kernels against chooser and full-scan references.
+the min-degree loop, the kernels against chooser and full-scan references,
+and category advice against ranking under a refined priority list.
 
 Examples are derandomized and few, so every run draws the same graphs.
 """
@@ -24,6 +25,8 @@ from matchlab.priority import (LiveState, run_min_greedy, run_min_ranking,
                                run_min_ranking_fixed)
 from matchlab.rng import make_rng
 
+from conftest import is_maximal
+
 SETTINGS = settings(max_examples=60, derandomize=True, deadline=None,
                     database=None)
 
@@ -36,12 +39,6 @@ def shuffled_rows(draw):
     rows = [draw(st.lists(st.integers(0, n_offline - 1), unique=True,
                           max_size=n_offline)) for _ in range(n_online)]
     return n_online, n_offline, rows
-
-
-def _is_maximal(g, m):
-    return all(m.partner_of_online[u] >= 0
-               or np.all(m.partner_of_offline[g.neighbors(u)] >= 0)
-               for u in range(g.n_online))
 
 
 @SETTINGS
@@ -87,7 +84,7 @@ def test_every_chooser_yields_a_maximal_matching(case, random, seed):
     runs = [run_ranking(g, arrival, sigma)]
     runs += [run_greedy(g, arrival, tie, seed) for tie in TIE_BREAKS]
     for m in runs:
-        assert verify_matching(g, m) and _is_maximal(g, m)
+        assert verify_matching(g, m) and is_maximal(g, m)
     if g.n_online:  # known-IID rules, scored on the materialized instance
         inst = sample_instance(g, seed)
         gi = materialize_instance(g, inst)
@@ -95,7 +92,7 @@ def test_every_chooser_yields_a_maximal_matching(case, random, seed):
             for rule in (tie_rule(g.n_offline, tie, seed),
                          make_min_degree_rule(g, tie, seed)):
                 m = run_rule(g, inst.draws, rule)
-                assert verify_matching(gi, m) and _is_maximal(gi, m)
+                assert verify_matching(gi, m) and is_maximal(gi, m)
 
 
 def _chooser_pass(g, rows, choose):
@@ -154,7 +151,41 @@ def test_rank_pass_matches_the_chooser_reference(case, seed):
             assert run_category_advice(g, arrival, k)[1] == sizes
 
 
-def _full_scan_min_degree_loop(g, rng, pick, on_step=None):
+def refine_sigma(sigma, categories):
+    """Reference priority list of a category-advice pass.
+
+    Ranks v1 before v2 iff categories[v1] < categories[v2], or the
+    categories tie and sigma ranks v1 before v2: a stable sort of the
+    offline side by category.
+    """
+    return Permutation(np.lexsort((sigma.rank, np.asarray(categories, np.int64))))
+
+
+def _refined_sigma_advice(g, arrival, k):
+    """Reference k-pass category advice: pass i is ranking under the
+    identity refined by the categories of the passes before it."""
+    cat = np.full(g.n_offline, online.CATEGORY_NEG_INF, dtype=np.int64)
+    sizes = []
+    for i in range(1, k + 1):
+        m = run_ranking(g, arrival, refine_sigma(Permutation.identity(g.n_offline), cat))
+        sizes.append(m.size)
+        cat[(cat == online.CATEGORY_NEG_INF) & m.matched_offline_mask()] = -i
+    return m, sizes
+
+
+@SETTINGS
+@given(shuffled_rows(), st.integers(0, 2 ** 32))
+@example((5, 5, [[0, 1, 3, 4], [0, 1, 3], [0, 1, 2], [0], [1]]), 3)  # fibonacci k=2
+def test_category_advice_matches_ranking_under_refined_sigma(case, seed):
+    g = BipartiteGraph.from_rows(*case)
+    for arrival in (None, Permutation.random(g.n_online, make_rng(seed))):
+        for k in range(1, 5):
+            m, sizes = run_category_advice(g, arrival, k)
+            ref_m, ref_sizes = _refined_sigma_advice(g, arrival, k)
+            assert m == ref_m and sizes == ref_sizes
+
+
+def _full_scan_min_degree_loop(g, rng, rank, on_step=None):
     """Reference min-degree loop: scans every degree at every step."""
     curdeg = g.online_degrees.astype(np.int64).copy()
     alive_v = np.ones(g.n_offline, dtype=bool)
@@ -174,7 +205,7 @@ def _full_scan_min_degree_loop(g, rng, pick, on_step=None):
         nb = g.neighbors(u)
         f = nb[alive_v[nb]]
         assert f.size == d
-        v = int(pick(f, rng))
+        v = int(f[rng.integers(f.size)] if rank is None else f[np.argmin(rank[f])])
         m.match(u, v)
         alive_v[v] = False
         curdeg[u] = priority._DEAD
