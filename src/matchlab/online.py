@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from matchlab.graphs import BipartiteGraph, Matching, Permutation
-from matchlab.rng import make_rng
+from matchlab.rng import Draws, make_rng
 
 # Category value meaning "never matched so far"; strictly below every
 # finite category, which are -1, -2, ... down to -(number of passes).
@@ -71,7 +71,7 @@ def tie_rule(n_offline: int, tie_break: str = "lowest-index",
     Vertices of lower `degree` come first (no degree: all tie).  The index
     rules break the remaining ties by lowest or highest index.  "random"
     draws one integer per decision, uniform over the free neighbors of
-    least degree, from a generator seeded once.
+    least degree, through `Draws` from a generator seeded once.
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"unknown tie_break {tie_break!r}; "
@@ -82,13 +82,13 @@ def tie_rule(n_offline: int, tie_break: str = "lowest-index",
         return Permutation(np.lexsort(keys)).rank
     if seed is None:
         raise ValueError("random tie break needs a seed")
-    rng = make_rng(seed)
+    draws = Draws(make_rng(seed))
 
     def choose(r, avail, pos):
         if degree is not None:
             d = degree[avail]
             avail = avail[d == d.min()]
-        return avail[rng.integers(avail.size)]
+        return avail[draws.below(avail.size)]
     return choose
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from matchlab.families import FamilyDescriptor
 from matchlab.graphs import BipartiteGraph, Matching, Permutation
-from matchlab.rng import make_rng
+from matchlab.rng import Draws, make_rng
 
 _DEAD = 1 << 40  # sentinel degree for processed online vertices
 
@@ -30,11 +30,6 @@ class LiveState:
     curdeg: np.ndarray        # near-_DEAD values mark processed vertices
     alive_offline: np.ndarray
 
-    def alive_online_mask(self) -> np.ndarray:
-        # dead entries start at _DEAD and only lose one per later deletion,
-        # so half the sentinel cleanly separates them from real degrees
-        return self.curdeg < _DEAD // 2
-
 
 def _min_degree_loop(g: BipartiteGraph, rng: np.random.Generator | None,
                      rank: np.ndarray | None, on_step=None) -> Matching:
@@ -44,41 +39,52 @@ def _min_degree_loop(g: BipartiteGraph, rng: np.random.Generator | None,
     rng=None selects the lowest-index minimum-degree vertex instead of a
     uniform one (the deterministic variant used by equivalence tests).
     Isolated vertices are deleted unmatched, consuming one iteration.
+    Draws and the final rng state equal scalar `rng.integers` calls.
 
     cands (sorted alive vertices of minimum degree d) follows the degrees
     each match lowers; all degrees are rescanned only when it runs empty.
+    An array replaces it whole; it is listed only to remove a selection.
     """
-    curdeg = g.online_degrees.astype(np.int64).copy()
+    if rng is None and rank is None:
+        raise ValueError("the min-degree loop needs an rng or a rank")
+    draws = None if rng is None else Draws(rng)
+    ptr, optr = g.indptr.tolist(), g.indptr_offline.tolist()
+    curdeg = g.online_degrees.astype(np.int64)
     alive_v = np.ones(g.n_offline, dtype=bool)
-    m = Matching(g.n_online, g.n_offline)
+    partner = np.full(g.n_online, -1, dtype=np.int64)
     d, cands = 0, []
     for step in range(g.n_online):
         if on_step is not None:
             on_step(LiveState(step, curdeg, alive_v))
-        if not cands:
+        if not len(cands):
             d = int(curdeg.min())
-            cands = np.flatnonzero(curdeg == d).tolist()
-        u = cands.pop(0 if rng is None else rng.integers(len(cands)))
+            cands = np.flatnonzero(curdeg == d)
+        i = 0 if draws is None else draws.below(len(cands))
+        u = int(cands[i])
         curdeg[u] = _DEAD
-        if d == 0:
-            continue
-        nb = g.neighbors(u)
-        f = nb[alive_v[nb]]
-        assert f.size == d
-        v = int(f[rng.integers(f.size)] if rank is None else f[rank[f].argmin()])
-        m.match(u, v)
-        alive_v[v] = False
-        ws = g.offline_neighbors(v)
-        curdeg[ws] -= 1
-        nd = curdeg[ws]
-        low = ws[nd < d]  # alive vertices that were in cands, now at d - 1
-        if low.size:
-            d -= 1
-            cands = low.tolist()
-        else:
+        if d:
+            nb = g.indices[ptr[u]:ptr[u + 1]]
+            f = nb[alive_v[nb]]
+            assert f.size == d
+            v = int(f[draws.below(f.size)] if rank is None else f[rank[f].argmin()])
+            partner[u] = v
+            alive_v[v] = False
+            ws = g.indices_offline[optr[v]:optr[v + 1]]
+            nd = curdeg[ws]
+            nd -= 1
+            curdeg[ws] = nd
+            low = ws[nd < d]  # alive vertices that were in cands, now at d - 1
+            if low.size:
+                d, cands = d - 1, low
+                continue
+        cands = cands if isinstance(cands, list) else cands.tolist()
+        del cands[i]
+        if d:
             for w in ws[nd == d].tolist():
                 insort(cands, w)
-    return m
+    if draws is not None:
+        draws.close()
+    return Matching.from_partners(partner, g.n_offline)
 
 
 def run_min_greedy(g: BipartiteGraph, seed: int, on_step=None) -> Matching:

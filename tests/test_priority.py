@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from matchlab import priority
 from matchlab.families import gen_h_graph, gen_kvv_triangular
 from matchlab.graphs import (BipartiteGraph, Permutation, random_bipartite,
                              verify_matching)
@@ -53,6 +54,11 @@ def test_min_algorithms_are_valid_maximal_and_deterministic():
             assert m == run(g, derive_seed(SEED, i))
 
 
+def test_min_degree_loop_needs_an_rng_or_a_rank():
+    with pytest.raises(ValueError, match="rng or a rank"):
+        priority._min_degree_loop(BipartiteGraph.from_rows(1, 1, [[0]]), None, None)
+
+
 def test_isolated_vertices_consume_iterations_but_never_match():
     g = BipartiteGraph.from_rows(3, 2, [[0], [], [0, 1]])
     states = []
@@ -62,9 +68,15 @@ def test_isolated_vertices_consume_iterations_but_never_match():
     assert m.size == 2
 
 
+def _alive_online_mask(state):
+    # dead entries start at _DEAD and only lose one per later deletion,
+    # so half the sentinel cleanly separates them from real degrees
+    return state.curdeg < priority._DEAD // 2
+
+
 def _degrees_match(state, g):
     """Recompute every alive degree from the live state's masks and compare."""
-    for u in np.flatnonzero(state.alive_online_mask()):
+    for u in np.flatnonzero(_alive_online_mask(state)):
         nb = g.neighbors(int(u))
         if int(state.alive_offline[nb].sum()) != int(state.curdeg[u]):
             return False
@@ -89,7 +101,7 @@ def test_alive_degrees_stay_equal_on_hub_pendant_graphs():
         g, _ = gen_h_graph(n, k)
 
         def all_equal(st):
-            alive = st.curdeg[st.alive_online_mask()]
+            alive = st.curdeg[_alive_online_mask(st)]
             return alive.size == 0 or int(alive.min()) == int(alive.max())
 
         flags = []

@@ -1,6 +1,7 @@
 """Property-based checks of the CSR graph, the arrival-pass kernel and
 the min-degree loop, the kernels against chooser and full-scan references,
-and category advice against ranking under a refined priority list.
+category advice against ranking under a refined priority list, and bulk
+`Draws` against scalar `rng.integers` calls.
 
 Examples are derandomized and few, so every run draws the same graphs.
 """
@@ -9,6 +10,7 @@ import json
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,11 +21,11 @@ from matchlab.graphs import (BipartiteGraph, Matching, Permutation,
 from matchlab.iid import (make_min_degree_rule, materialize_instance,
                           run_greedy_iid, run_min_degree, run_rule,
                           sample_instance)
-from matchlab.online import (TIE_BREAKS, run_category_advice, run_greedy,
-                             run_ranking, tie_rule)
+from matchlab.online import (TIE_BREAKS, arrival_pass, run_category_advice,
+                             run_greedy, run_ranking, tie_rule)
 from matchlab.priority import (LiveState, run_min_greedy, run_min_ranking,
                                run_min_ranking_fixed)
-from matchlab.rng import make_rng
+from matchlab.rng import Draws, make_rng
 
 from conftest import is_maximal
 
@@ -242,3 +244,83 @@ def test_min_degree_loop_matches_the_full_scan_reference(case, random, seed):
         assert len(snaps) == len(ref_snaps) == g.n_online
         assert all(np.array_equal(a, b) for a, b in zip(snaps, ref_snaps))
         assert states == ref_states
+
+
+# bounds that take no word (1), reject rarely (small n, powers of two) or
+# often (just above 2**31, where almost half of all words are redrawn)
+DRAW_BOUNDS = st.one_of(st.just(1), st.integers(2, 40),
+                        st.sampled_from([2 ** k for k in range(1, 33)]),
+                        st.integers(2 ** 31 - 8, 2 ** 31 + 8),
+                        st.integers(3 * 2 ** 30, 3 * 2 ** 30 + 8),
+                        st.integers(2 ** 32 - 8, 2 ** 32), st.integers(1, 2 ** 32))
+
+
+@SETTINGS
+@given(st.lists(DRAW_BOUNDS, max_size=700), st.integers(0, 2 ** 32),
+       st.integers(0, 2), st.integers(0, 9))
+@example(list(range(1, 9001)), 3, 1, 0)  # past the largest chunk
+def test_draws_equal_scalar_integers_and_leave_the_same_state(bounds, seed,
+                                                              scalars, perm):
+    """Same integers, same final state and same next draws as scalar calls,
+    also from a generator holding a buffered half-word."""
+    ref, rng = make_rng(seed), make_rng(seed)
+    for r in (ref, rng):
+        r.integers(5, size=scalars)
+        r.permutation(perm)
+    draws = Draws(rng)
+    assert [draws.below(n) for n in bounds] == [int(ref.integers(n)) for n in bounds]
+    draws.close()
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.integers(1000, size=5).tolist() == ref.integers(1000, size=5).tolist()
+    # after close() the same object continues from the synced state
+    assert [draws.below(n) for n in bounds[:50]] == [int(ref.integers(n))
+                                                      for n in bounds[:50]]
+    draws.close()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_draws_refuse_bounds_outside_one_to_two_to_the_32():
+    ref, rng = make_rng(1), make_rng(1)
+    for r in (ref, rng):
+        r.integers(5)
+    assert rng.bit_generator.state["has_uint32"] == 1  # buffered half-word
+    draws = Draws(rng)
+    for n in (0, -1, 2 ** 32 + 1):
+        with pytest.raises(ValueError):
+            draws.below(n)
+    with pytest.raises(TypeError):
+        draws.below(2.5)
+    assert draws.below(2 ** 32) == ref.integers(2 ** 32)
+
+
+def _scalar_random_rule(n_offline, seed, degree=None):
+    """Reference random chooser: one scalar `rng.integers` per decision."""
+    rng = make_rng(seed)
+
+    def choose(r, avail, pos):
+        if degree is not None:
+            d = degree[avail]
+            avail = avail[d == d.min()]
+        return avail[rng.integers(avail.size)]
+    return choose
+
+
+@SETTINGS
+@given(shuffled_rows(), st.integers(0, 2 ** 32))
+@example((60, 60, [list(range(i, 60)) for i in range(60)]), 7)  # kvv n=60
+@example((40, 8, [list(range(8))] * 40), 11)                    # biclique
+def test_random_tie_rules_match_the_scalar_draw_reference(case, seed):
+    g = BipartiteGraph.from_rows(*case)
+    arrival = Permutation.random(g.n_online, make_rng(seed))
+    want = np.full(g.n_online, -1, dtype=np.int64)
+    want[arrival.order] = arrival_pass(g, arrival.order,
+                                       _scalar_random_rule(g.n_offline, seed))
+    assert np.array_equal(run_greedy(g, arrival, "random", seed).partner_of_online,
+                          want)
+    if g.n_online:
+        rows = sample_instance(g, seed).draws
+        for degree in (None, g.offline_degrees):
+            ref = arrival_pass(g, rows, _scalar_random_rule(g.n_offline, seed, degree))
+            rule = (tie_rule(g.n_offline, "random", seed) if degree is None
+                    else make_min_degree_rule(g, "random", seed))
+            assert np.array_equal(run_rule(g, rows, rule).partner_of_online, ref)
