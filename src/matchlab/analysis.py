@@ -9,10 +9,8 @@ exactly (dynamic program over y) and by simulation, simulates the real
 graph process for cross-checking, and locates the root of the continuous
 approximation whose value pins the pendant fraction near 1/e.
 
-It also reckons the exact finite-size expectations of the degree-guided
-experiments: min-degree greedy and min-degree ranking on the two-sided
-family (whose sub-blocks are hub-pendant graphs), and the static-degree
-rule with max-index ties on the padded hard IID family.
+It also reckons the exact finite-size expectations of the five
+stochastic reproductions in `matchlab.experiments`.
 """
 
 from __future__ import annotations
@@ -228,6 +226,49 @@ def expected_bp_sizes(b: int, algorithm: str) -> FiniteSizeExpectation:
                                  opt=float(opt), error=min(fail, 1.0) * opt)
 
 
+def expected_kvv_sizes(n: int) -> FiniteSizeExpectation:
+    """Exact E[size] of ranking on the triangular family, O(n^2) time.
+
+    Online vertex i sees v_i..v_{n-1}, which holds every later
+    neighbourhood, so under a uniform priority its free part is a uniform
+    subset of its size f.  While f > 0 the arrival is matched, and then
+    v_i leaves, free with probability (f - 1)/(n - i).  With y counting
+    the vertices that left free and x = n - i, f = x - y: y grows with
+    probability max(x - y - 1, 0)/x, and size = n - y at the end.  The
+    ratio tends to 1 - 1/e (Karp, Vazirani and Vazirani 1990).
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    dist = _count_chain(n, lambda x, y: np.maximum(x - y - 1.0, 0.0) / x)
+    unmatched = math.fsum(y * p for y, p in enumerate(dist))
+    return FiniteSizeExpectation(alg=n - unmatched, opt=float(n), error=0.0)
+
+
+def _fill_from_top(L: int, N: int, arrivals: int) -> float:
+    """E[matched] of one L x N staircase copy under max-index ties.
+
+    Online block j sees offline blocks j..N, so the copy fills from the
+    top: with k matched, an arrival to it is matched with probability
+    ceil((LN - k)/L)/N.  Each arrival lands in it w.p. LN/arrivals.
+    """
+    ln = L * N
+    dist = _count_chain(arrivals, lambda x, k: ln / arrivals * np.maximum(
+        np.ceil((ln - k) / L), 0.0) / N)
+    return math.fsum(k * p for k, p in enumerate(dist))
+
+
+def expected_staircase_sizes(L: int, N: int) -> FiniteSizeExpectation:
+    """Exact E[size] of max-index greedy on goelmehta(L, N), O((LN)^2).
+
+    opt is the type-graph optimum LN, as the staircase bound is stated;
+    the fraction tends to 1 - 1/e (Goel and Mehta 2008).
+    """
+    if L < 1 or N < 1:
+        raise ValueError("L and N must be positive")
+    return FiniteSizeExpectation(alg=_fill_from_top(L, N, L * N),
+                                 opt=float(L * N), error=0.0)
+
+
 def _binom_pmf(trials, p: float, k, log_fact: np.ndarray) -> np.ndarray:
     """Binomial(trials, p) pmf at k, elementwise; zero outside 0..trials."""
     trials = np.asarray(trials)
@@ -251,9 +292,8 @@ def expected_padded_sizes(L: int, N: int, K: int) -> FiniteSizeExpectation:
     every gadget arrival is matched: NL of them in expectation.
 
     alg: a copy's offline vertices all tie, so max-index ties fill each
-    copy from the top and its state is k, its matched count.  A copy
-    arrival is then matched with probability ceil((LN - k)/L) / N, and
-    each of the n arrivals is a copy arrival with probability LN/n.
+    copy from the top (`_fill_from_top`), and each of the n arrivals is
+    a copy arrival with probability LN/n.
 
     opt: copy online block j sees copy offline blocks j..N, so by Hall's
     theorem a copy leaves D = max over m >= 0 of (arrivals in its last m
@@ -278,11 +318,6 @@ def expected_padded_sizes(L: int, N: int, K: int) -> FiniteSizeExpectation:
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
     counts = np.arange(n + 1)
 
-    # alg: each of the n arrivals lands in the copy with probability LN/n,
-    # so k is a chain thinned by that factor
-    dist = _count_chain(n, lambda x, k: ln / n * np.maximum(
-        np.ceil((ln - k) / L), 0.0) / N)
-    alg_copy = math.fsum(k * p for k, p in enumerate(dist))
     p_copy = _binom_pmf(n, ln / n, counts, log_fact)
 
     # opt: state[u, d-1] = P(no crossing of mL + d yet, u arrivals so far),
@@ -306,6 +341,6 @@ def expected_padded_sizes(L: int, N: int, K: int) -> FiniteSizeExpectation:
 
     p_gadget = _binom_pmf(n, L / n, counts, log_fact)
     excess = N * math.fsum(np.maximum(counts - cap, 0) * p_gadget)
-    return FiniteSizeExpectation(alg=K * alg_copy + N * L,
+    return FiniteSizeExpectation(alg=K * _fill_from_top(L, N, n) + N * L,
                                  opt=n - K * mean_d,
                                  error=excess + K * truncation)

@@ -117,8 +117,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    result = reproduce(args.name, seed=seed, workers=args.workers)
+    result = reproduce(args.name, seed=args.seed, workers=args.workers)
     for line in result.lines:
         print(line)
     print(f"{'PASS' if result.passed else 'FAIL'}: {result.name}")
@@ -173,7 +172,9 @@ def build_parser() -> _Parser:
                            help="run a named pinned experiment and check "
                                 "its tolerance band")
     p_rep.add_argument("name", choices=sorted(REPRODUCTIONS))
-    p_rep.add_argument("--seed", type=int, default=None)
+    p_rep.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                       help=f"RNG seed (default {DEFAULT_SEED}; "
+                            f"${SEED_ENV_VAR} is not read)")
     p_rep.add_argument("--workers", type=int, default=1)
     p_rep.set_defaults(func=cmd_reproduce)
 

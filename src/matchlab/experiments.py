@@ -3,6 +3,8 @@
 Every headline measurement lives here with its family, algorithm, trial
 count, seed and tolerance band pinned in one place, so the command-line
 ``reproduce`` verb and the acceptance tests score exactly the same runs.
+The five stochastic reproductions are rows of one table, each held to
+the exact finite-size expectation that ``matchlab.analysis`` reckons.
 Trial loops derive one seed per trial index, which keeps results
 identical no matter how trials are partitioned across workers.
 """
@@ -12,14 +14,19 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from matchlab.analysis import (expected_bp_sizes, expected_padded_sizes,
-                               expected_y_exact, ode_root, simulate_chain,
+from matchlab.analysis import (FiniteSizeExpectation, expected_bp_sizes,
+                               expected_kvv_sizes, expected_padded_sizes,
+                               expected_staircase_sizes, expected_y_exact,
+                               ode_root, simulate_chain,
                                simulate_rhs_empirical, trial_stats)
-from matchlab.families import TYPE_FAMILIES, build_family, fibonacci
+from matchlab.families import (TYPE_FAMILIES, build_family, fibonacci,
+                               params_label)
 from matchlab.graphs import Permutation, maximum_matching
 from matchlab.iid import (gadget_overflow_count, run_greedy_iid,
                           run_min_degree, sample_instance)
@@ -182,8 +189,10 @@ def summarize_rows(rows: list[TrialRow]) -> dict:
 # Named reproductions.  Each returns a ReproduceResult whose `lines` are
 # human-readable measurements and whose `passed` flag applies the pinned
 # tolerance band.  The acceptance tests assert on these same objects.
-# A stochastic mean passes when it lies within three standard errors of
-# its exact expectation, reckoned in matchlab.analysis at the pinned size.
+# The five stochastic reproductions are the rows of STOCHASTIC, which one
+# helper runs: a mean passes when it lies within three standard errors of
+# its exact expectation, reckoned in matchlab.analysis at the pinned size,
+# and the pinned band is applied to the exact ratio at a large size.
 
 @dataclass
 class ReproduceResult:
@@ -238,130 +247,99 @@ def reproduce_fibonacci_ratios(seed: int = DEFAULT_SEED,
     return ReproduceResult("fibonacci-ratios", passed, lines, values)
 
 
-def reproduce_ranking_kvv(seed: int = DEFAULT_SEED,
-                          workers: int = 1) -> ReproduceResult:
-    """Random-priority matching on the triangular graph, n=200, 5000 trials."""
-    spec = ExperimentSpec("kvv", {"n": 200}, "ranking", trials=5000, seed=seed)
-    rows = run_experiment(spec, workers)
-    summary = summarize_rows(rows)
-    mean_ratio = summary["ratio"]
-    target = 1.0 - 1.0 / math.e
-    ok, line = _band_line("mean ratio", mean_ratio, target - 0.02, target + 0.02)
-    return ReproduceResult("ranking-kvv", ok,
-                           [line, f"target 1-1/e = {target:.4f}"],
-                           {"mean_ratio": mean_ratio, **summary})
+@dataclass(frozen=True)
+class StochasticReproduction:
+    """A pinned spec held to its exact finite-size expectation.
 
-
-# b at which the two-sided family's exact ratio stands in for its limit
-BP_LIMIT_B = 2000
-
-
-def _bp_reproduction(name: str, algorithm: str, limit: str, lo: float,
-                     hi: float, seed: int, workers: int) -> ReproduceResult:
-    b = 25
-    spec = ExperimentSpec("bp", {"b": b}, algorithm, trials=500, seed=seed)
-    rows = run_experiment(spec, workers)
-    summary = summarize_rows(rows)
-    alg = trial_stats([r.alg_size for r in rows])
-    exact = expected_bp_sizes(b, algorithm)
-    large = expected_bp_sizes(BP_LIMIT_B, algorithm)
-    ok_mean, mean_line = _exact_line(f"size at b={b}", alg.mean, alg.stderr,
-                                     exact.alg, exact.error)
-    ok_band, band_line = _band_line(f"exact ratio at b={BP_LIMIT_B}",
-                                    large.ratio, lo, hi)
-    lines = [mean_line,
-             f"ratio of means {summary['ratio']:.4f} vs exact {exact.ratio:.4f} "
-             f"over {summary['trials']} trials (opt {summary['opt_mean']:.0f})",
-             f"{band_line} (paper's limit {limit})"]
-    return ReproduceResult(name, ok_mean and ok_band, lines,
-                           {**summary, "alg_stderr": alg.stderr,
-                            "exact_alg": exact.alg, "exact_ratio": exact.ratio,
-                            "limit_ratio": large.ratio})
-
-
-def reproduce_mingreedy_bp(seed: int = DEFAULT_SEED,
-                           workers: int = 1) -> ReproduceResult:
-    """Min-degree greedy on the two-sided hard instance, b=25, 500 trials.
-
-    The mean size must match its exact expectation at b=25, and the exact
-    ratio at b=2000 must lie in the band [0.50, 0.56] around the limit 1/2.
+    At the spec's parameters, `reckon(**params)` gives the exact sizes:
+    the mean size, and with `sampled_opt` the mean sampled optimum (then
+    the ratio's yardstick), must lie within 3 se of them plus `error`.
+    The exact ratio at `large` must lie in `band`; with no `large`, the
+    paper's bound is printed instead.  `extra` adds a checked line.
     """
-    return _bp_reproduction("mingreedy-bp", "mingreedy", "1/2 = 0.5000",
-                            0.50, 0.56, seed, workers)
+
+    spec: ExperimentSpec
+    reckon: Callable[..., FiniteSizeExpectation]
+    large: dict | None
+    band: tuple[float, float] | None
+    limit: str
+    sampled_opt: bool
+    extra: Callable[[ExperimentSpec], tuple[bool, str, dict]] | None
 
 
-def reproduce_minranking_bp(seed: int = DEFAULT_SEED,
-                            workers: int = 1) -> ReproduceResult:
-    """Min-degree + priority-list matching on the same instance.
+def _gadget_overflow(spec: ExperimentSpec) -> tuple[bool, str, dict]:
+    """Trials whose sampled instance overflows a gadget: under 1% pass."""
+    g, desc = build_family(spec.family, spec.family_params)
+    overflowing = sum(
+        1 for t in range(spec.trials)
+        if gadget_overflow_count(desc, sample_instance(g, derive_seed(spec.seed, 2 * t))) > 0)
+    frac = overflowing / spec.trials
+    ok = frac < 0.01
+    line = (f"overflow trials: {overflowing}/{spec.trials} "
+            f"({'ok' if ok else 'TOO MANY'}, need < 1%)")
+    return ok, line, {"overflow_fraction": frac}
 
-    As for mingreedy-bp, with the band 1/2 + 1/(2e) +/- 0.03 around the
-    limit 1/2 + 1/(2e).
-    """
-    center = 0.5 + 0.5 / math.e
-    return _bp_reproduction("minranking-bp", "minranking",
-                            f"1/2 + 1/(2e) = {center:.4f}",
-                            center - 0.03, center + 0.03, seed, workers)
+
+_E, _HALF_E = 1.0 - 1.0 / math.e, 0.5 + 0.5 / math.e
+STOCHASTIC = {
+    "ranking-kvv": StochasticReproduction(
+        ExperimentSpec("kvv", {"n": 200}, "ranking", trials=5000), expected_kvv_sizes,
+        {"n": 2000}, (_E - 0.02, _E + 0.02), f"1 - 1/e = {_E:.4f}", False, None),
+    "mingreedy-bp": StochasticReproduction(
+        ExperimentSpec("bp", {"b": 25}, "mingreedy", trials=500),
+        partial(expected_bp_sizes, algorithm="mingreedy"), {"b": 2000},
+        (0.50, 0.56), "1/2 = 0.5000", False, None),
+    "minranking-bp": StochasticReproduction(
+        ExperimentSpec("bp", {"b": 25}, "minranking", trials=500),
+        partial(expected_bp_sizes, algorithm="minranking"), {"b": 2000},
+        (_HALF_E - 0.03, _HALF_E + 0.03), f"1/2 + 1/(2e) = {_HALF_E:.4f}", False, None),
+    "mindegree-iid": StochasticReproduction(
+        ExperimentSpec("mindegreehard", {"L": 10, "N": 10, "K": 20}, "mindegree",
+                       trials=200, tie_break="max-index"),
+        expected_padded_sizes, None, None, f"1 - 1/e = {_E:.4f}", True,
+        _gadget_overflow),
+    "greedy-goelmehta": StochasticReproduction(
+        ExperimentSpec("goelmehta", {"L": 20, "N": 20}, "greedy-iid", trials=300,
+                       tie_break="max-index"),
+        expected_staircase_sizes, {"L": 100, "N": 100}, (_E - 0.03, _E + 0.03),
+        f"1 - 1/e = {_E:.4f}", False, None),
+}
 
 
-def reproduce_greedy_goelmehta(seed: int = DEFAULT_SEED,
-                               workers: int = 1) -> ReproduceResult:
-    """Adversarial-tie greedy on the staircase type graph, L=N=20.
-
-    The yardstick is the type-graph optimum LN, not the per-instance
-    optimum, matching how the staircase bound is stated.
-    """
-    L = N = 20
-    spec = ExperimentSpec("goelmehta", {"L": L, "N": N}, "greedy-iid",
-                          trials=300, seed=seed, tie_break="max-index")
+def _reproduce_stochastic(name: str, seed: int, workers: int) -> ReproduceResult:
+    """Run one STOCHASTIC row at `seed` and check it."""
+    row = STOCHASTIC[name]
+    spec = replace(row.spec, seed=seed)
     rows = run_experiment(spec, workers)
-    mean_size = trial_stats([r.alg_size for r in rows]).mean
-    frac = mean_size / (L * N)
-    target = 1.0 - 1.0 / math.e
-    ok, line = _band_line("mean size / LN", frac, target - 0.03, target + 0.03)
-    return ReproduceResult("greedy-goelmehta", ok,
-                           [line, f"mean size {mean_size:.1f} of LN = {L * N}"],
-                           {"fraction": frac, "mean_size": mean_size})
-
-
-def reproduce_mindegree_iid(seed: int = DEFAULT_SEED,
-                            workers: int = 1) -> ReproduceResult:
-    """Static-min-degree rule on the copies-plus-gadgets family.
-
-    L=10, N=10, K=20, adversarial max-block ties, 200 trials.  The mean
-    algorithm size and the mean sampled optimum must each match their
-    exact expectations; their ratio is printed beside the paper's bound
-    1 - 1/e.  Gadget overflow events must stay under 1% of trials.
-    """
-    params = {"L": 10, "N": 10, "K": 20}
-    trials = 200
-    spec = ExperimentSpec("mindegreehard", params, "mindegree",
-                          trials=trials, seed=seed, tie_break="max-index")
-    rows = run_experiment(spec, workers)
-    summary = summarize_rows(rows)
     alg = trial_stats([r.alg_size for r in rows])
     opt = trial_stats([r.opt_size for r in rows])
-    exact = expected_padded_sizes(**params)
-    g, desc = build_family("mindegreehard", params)
-    overflowing = sum(
-        1 for t in range(trials)
-        if gadget_overflow_count(desc, sample_instance(g, derive_seed(seed, 2 * t))) > 0)
-    overflow_frac = overflowing / trials
-    ok_alg, alg_line = _exact_line("alg size", alg.mean, alg.stderr,
-                                   exact.alg, exact.error)
-    ok_opt, opt_line = _exact_line("sampled optimum", opt.mean, opt.stderr,
-                                   exact.opt, exact.error)
-    ok_overflow = overflow_frac < 0.01
-    lines = [alg_line, opt_line,
-             f"ratio of means {summary['ratio']:.4f} vs exact {exact.ratio:.4f} "
-             f"(paper's bound 1 - 1/e = {1.0 - 1.0 / math.e:.4f})",
-             f"overflow trials: {overflowing}/{trials} "
-             f"({'ok' if ok_overflow else 'TOO MANY'}, need < 1%)"]
-    return ReproduceResult("mindegree-iid", ok_alg and ok_opt and ok_overflow,
-                           lines,
-                           {**summary, "overflow_fraction": overflow_frac,
-                            "alg_stderr": alg.stderr, "opt_stderr": opt.stderr,
-                            "exact_alg": exact.alg, "exact_opt": exact.opt,
-                            "exact_ratio": exact.ratio})
+    exact = row.reckon(**spec.family_params)
+    yardstick = opt.mean if row.sampled_opt else exact.opt
+    ratio = alg.mean / yardstick
+    values = {**summarize_rows(rows), "ratio": ratio, "alg_stderr": alg.stderr,
+              "opt_stderr": opt.stderr, "exact_alg": exact.alg,
+              "exact_opt": exact.opt, "exact_ratio": exact.ratio}
+    at = partial(params_label, spec.family)
+    label = "alg size" if row.sampled_opt else f"size at {at(spec.family_params)}"
+    checks = [_exact_line(label, alg.mean, alg.stderr, exact.alg, exact.error)]
+    if row.sampled_opt:
+        checks.append(_exact_line("sampled optimum", opt.mean, opt.stderr,
+                                  exact.opt, exact.error))
+    head = f"ratio of means {ratio:.4f} vs exact {exact.ratio:.4f}"
+    if row.large is None:
+        checks.append((True, f"{head} (paper's bound {row.limit})"))
+    else:
+        large = row.reckon(**row.large)
+        values["limit_ratio"] = large.ratio
+        ok, line = _band_line(f"exact ratio at {at(row.large)}", large.ratio, *row.band)
+        checks += [(True, f"{head} over {len(rows)} trials (opt {yardstick:.0f})"),
+                   (ok, f"{line} (paper's limit {row.limit})")]
+    if row.extra is not None:
+        ok, line, more = row.extra(spec)
+        checks.append((ok, line))
+        values.update(more)
+    return ReproduceResult(name, all(ok for ok, _ in checks),
+                           [line for _, line in checks], values)
 
 
 def reproduce_markov_ne(seed: int = DEFAULT_SEED,
@@ -401,11 +379,7 @@ def reproduce_markov_ne(seed: int = DEFAULT_SEED,
 
 REPRODUCTIONS = {
     "fibonacci-ratios": reproduce_fibonacci_ratios,
-    "ranking-kvv": reproduce_ranking_kvv,
-    "mingreedy-bp": reproduce_mingreedy_bp,
-    "minranking-bp": reproduce_minranking_bp,
-    "mindegree-iid": reproduce_mindegree_iid,
-    "greedy-goelmehta": reproduce_greedy_goelmehta,
+    **{name: partial(_reproduce_stochastic, name) for name in STOCHASTIC},
     "markov-ne": reproduce_markov_ne,
 }
 

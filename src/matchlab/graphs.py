@@ -103,15 +103,6 @@ class BipartiteGraph:
         """Sorted offline neighbors of online vertex u (read-only view)."""
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
-    def offline_neighbors(self, v: int) -> np.ndarray:
-        """Sorted online neighbors of offline vertex v (read-only view)."""
-        return self.indices_offline[self.indptr_offline[v]:self.indptr_offline[v + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        a = self.neighbors(u)
-        i = np.searchsorted(a, v)
-        return i < a.size and a[i] == v
-
     def adjacency(self) -> list[list[int]]:
         """Plain-list copy of the adjacency, for serialization."""
         ptr = self.indptr.tolist()
@@ -166,9 +157,6 @@ class Matching:
     def pairs(self) -> list[tuple[int, int]]:
         us = np.flatnonzero(self.partner_of_online >= 0)
         return [(int(u), int(self.partner_of_online[u])) for u in us]
-
-    def matched_offline_mask(self) -> np.ndarray:
-        return self.partner_of_offline >= 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matching):
@@ -230,7 +218,7 @@ def verify_matching(g: BipartiteGraph, m: Matching) -> bool:
         return False
     # partners point back, so both maps hold the same m.size pairs
     return bool(np.all(m.partner_of_offline[vs] == us)) and all(
-        g.has_edge(u, v) for u, v in zip(us.tolist(), vs.tolist()))
+        v in g.neighbors(u) for u, v in zip(us.tolist(), vs.tolist()))
 
 
 def maximum_matching(g: BipartiteGraph) -> Matching:

@@ -141,5 +141,5 @@ def run_category_advice(g: BipartiteGraph, arrival: Permutation | None = None,
     for i in range(1, k + 1):
         m = _online_pass(g, arrival, cat)
         sizes.append(m.size)
-        cat[(cat == CATEGORY_NEG_INF) & m.matched_offline_mask()] = -i
+        cat[(cat == CATEGORY_NEG_INF) & (m.partner_of_offline >= 0)] = -i
     return m, sizes

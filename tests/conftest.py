@@ -1,6 +1,6 @@
 """Shared pytest plumbing for the acceptance summary block, plus the
-position-dependent control rule for the consistency checker and the
-maximality check of a matching."""
+position-dependent control rule for the consistency checker, the
+maximality check of a matching and the CSC neighbour lookup."""
 
 import numpy as np
 
@@ -42,3 +42,8 @@ def is_maximal(g, m) -> bool:
     return all(m.partner_of_online[u] >= 0
                or np.all(m.partner_of_offline[g.neighbors(u)] >= 0)
                for u in range(g.n_online))
+
+
+def offline_neighbors(g, v: int) -> np.ndarray:
+    """Sorted online neighbors of offline vertex v, from g's CSC arrays."""
+    return g.indices_offline[g.indptr_offline[v]:g.indptr_offline[v + 1]]

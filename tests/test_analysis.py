@@ -8,12 +8,17 @@ import numpy as np
 import pytest
 
 from matchlab.analysis import (PENDANT_STEP, _sum_below, expected_bp_sizes,
-                               expected_padded_sizes, expected_y_exact,
+                               expected_kvv_sizes, expected_padded_sizes,
+                               expected_staircase_sizes, expected_y_exact,
                                ode_root, simulate_chain,
                                simulate_rhs_empirical, trial_stats)
-from matchlab.families import gen_besser_poloczek, gen_min_degree_hard
-from matchlab.graphs import maximum_matching
-from matchlab.iid import InstanceSample, materialize_instance, run_min_degree
+from matchlab.experiments import STOCHASTIC
+from matchlab.families import (gen_besser_poloczek, gen_goel_mehta,
+                               gen_kvv_triangular, gen_min_degree_hard)
+from matchlab.graphs import Permutation, maximum_matching
+from matchlab.iid import (InstanceSample, materialize_instance,
+                          run_greedy_iid, run_min_degree)
+from matchlab.online import run_ranking
 from matchlab.priority import run_min_greedy, run_min_ranking
 from matchlab.rng import derive_seed, make_rng
 
@@ -180,6 +185,53 @@ def test_finite_size_expectations_at_the_pinned_sizes():
     assert abs(expected_bp_sizes(2000, "mingreedy").ratio - 0.5) < 0.003
     limit = 0.5 + 0.5 / math.e
     assert abs(expected_bp_sizes(2000, "minranking").ratio - limit) < 0.001
+    # ranking on the triangular family and greedy on the staircase
+    kvv = expected_kvv_sizes(200)
+    staircase = expected_staircase_sizes(20, 20)
+    assert round(kvv.alg, 5) == 126.68835 and kvv.opt == 200
+    assert round(expected_kvv_sizes(2000).ratio, 6) == 0.632253
+    assert round(staircase.alg, 5) == 258.93701 and staircase.opt == 400
+    assert round(expected_staircase_sizes(100, 100).ratio, 6) == 0.635253
+    assert kvv.error == staircase.error == 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kvv_chain_equals_ranking_over_all_priority_orders(n):
+    g, _ = gen_kvv_triangular(n)
+    sizes = [run_ranking(g, None, Permutation(list(perm))).size
+             for perm in itertools.permutations(range(n))]
+    assert abs(expected_kvv_sizes(n).alg - sum(sizes) / len(sizes)) < 1e-12
+
+
+@pytest.mark.parametrize("L, N", [(1, 2), (1, 3), (2, 2), (1, 4)])
+def test_staircase_chain_equals_max_index_greedy_over_all_sequences(L, N):
+    g, _ = gen_goel_mehta(L, N)
+    n = L * N
+    total = sum(run_greedy_iid(g, InstanceSample(np.array(seq)),
+                               tie_break="max-index").size
+                for seq in itertools.product(range(n), repeat=n))
+    assert abs(expected_staircase_sizes(L, N).alg - total / n ** n) < 1e-12
+
+
+PAPER_LIMITS = {"ranking-kvv": 1 - 1 / math.e, "mingreedy-bp": 0.5,
+                "minranking-bp": 0.5 + 0.5 / math.e,
+                "mindegree-iid": 1 - 1 / math.e,
+                "greedy-goelmehta": 1 - 1 / math.e}
+
+
+@pytest.mark.parametrize("name", sorted(STOCHASTIC))
+def test_reproduction_row_bands_hold_the_exact_and_the_paper_limit(name):
+    # reckonings only: a mistyped row shows here before any trial runs
+    row = STOCHASTIC[name]
+    limit = PAPER_LIMITS[name]
+    assert row.limit.endswith(f" = {limit:.4f}")
+    assert row.reckon(**row.spec.family_params).error < 1e-3
+    if row.large is None:
+        assert row.band is None
+        return
+    lo, hi = row.band
+    assert lo <= row.reckon(**row.large).ratio <= hi
+    assert lo <= limit <= hi
 
 
 @pytest.mark.parametrize("algorithm, run", [("mingreedy", run_min_greedy),
@@ -228,3 +280,7 @@ def test_finite_size_guards():
         expected_bp_sizes(5, "greedy")
     with pytest.raises(ValueError):
         expected_padded_sizes(0, 2, 2)
+    with pytest.raises(ValueError):
+        expected_kvv_sizes(0)
+    with pytest.raises(ValueError):
+        expected_staircase_sizes(2, 0)

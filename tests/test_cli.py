@@ -16,16 +16,34 @@ from test_graphs import MALFORMED_GRAPH_DOCS
 HEADER = "family,params,algorithm,seed,trial,alg_size,opt_size,ratio"
 
 
-def run_cli(*args, env_extra=None):
+@pytest.fixture
+def run_cli(capsys, monkeypatch):
+    """`cli.main` in this process, with MATCHLAB_SEED unset.
+
+    Returns a CompletedProcess with the exit code, including argparse's
+    SystemExit, and the captured stdout and stderr.
+    """
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+
+    def run(*args):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(args, code, out, err)
+    return run
+
+
+def run_cli_process(*args):
+    """The `python -m matchlab.cli` entry point in a fresh interpreter."""
     env = dict(os.environ)
     env.pop(cli.SEED_ENV_VAR, None)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "matchlab.cli", *args],
                           capture_output=True, text=True, env=env)
 
 
-def test_per_trial_csv_has_the_fixed_header_and_full_rows():
+def test_per_trial_csv_has_the_fixed_header_and_full_rows(run_cli):
     res = run_cli("run", "kvv", "n=6", "--algorithm", "ranking",
                   "--trials", "4", "--seed", "9", "--format", "csv",
                   "--per-trial")
@@ -41,7 +59,7 @@ def test_per_trial_csv_has_the_fixed_header_and_full_rows():
         assert abs(float(ratio) - int(alg) / 6) < 1e-15
 
 
-def test_summary_csv_is_a_single_aggregate_row():
+def test_summary_csv_is_a_single_aggregate_row(run_cli):
     res = run_cli("run", "kvv", "n=6", "--algorithm", "ranking",
                   "--trials", "4", "--seed", "9", "--format", "csv")
     lines = res.stdout.strip().split("\n")
@@ -49,7 +67,7 @@ def test_summary_csv_is_a_single_aggregate_row():
     assert lines[1].split(",")[4] == "summary"
 
 
-def test_json_output_is_versioned_and_carries_intervals():
+def test_json_output_is_versioned_and_carries_intervals(run_cli):
     res = run_cli("run", "bp", "b=2", "--algorithm", "mingreedy",
                   "--trials", "6", "--seed", "4")
     doc = json.loads(res.stdout)
@@ -66,16 +84,17 @@ def test_json_output_is_versioned_and_carries_intervals():
     assert all(r["seed"] == 4 and r["params"] == "b=2" for r in rows)
 
 
-def test_reruns_and_worker_counts_are_byte_identical():
+def test_reruns_and_worker_counts_are_byte_identical(run_cli):
     args = ("run", "hgraph", "n=6", "k=3", "--algorithm", "minranking",
             "--trials", "8", "--seed", "11", "--format", "csv", "--per-trial")
     first = run_cli(*args)
     second = run_cli(*args)
-    split = run_cli(*args, "--workers", "3")
+    split = run_cli_process(*args, "--workers", "3")
+    assert split.returncode == 0
     assert first.stdout == second.stdout == split.stdout
 
 
-def test_generate_emits_graph_descriptor_and_type_metadata(tmp_path):
+def test_generate_emits_graph_descriptor_and_type_metadata(run_cli, tmp_path):
     res = run_cli("generate", "fibonacci", "k=3")
     doc = json.loads(res.stdout)
     assert doc["schema"] == 1 and doc["n_online"] == 13
@@ -89,7 +108,7 @@ def test_generate_emits_graph_descriptor_and_type_metadata(tmp_path):
     assert doc["families"] == {"family": "goelmehta", "params": {"L": 2, "N": 3}}
 
 
-def test_oracle_prints_the_maximum_matching_size(tmp_path):
+def test_oracle_prints_the_maximum_matching_size(run_cli, tmp_path):
     out = tmp_path / "g.json"
     run_cli("generate", "bp", "b=2", "--out", str(out))
     res = run_cli("oracle", str(out))
@@ -198,20 +217,33 @@ def test_generate_refuses_families_above_the_vertex_cap(monkeypatch, capsys):
     assert built == [(10, 10)]
 
 
-def test_environment_variable_supplies_the_default_seed():
-    via_env = run_cli("run", "kvv", "n=5", "--algorithm", "ranking",
-                      "--trials", "3", "--format", "csv", "--per-trial",
-                      env_extra={cli.SEED_ENV_VAR: "123"})
-    via_flag = run_cli("run", "kvv", "n=5", "--algorithm", "ranking",
-                       "--trials", "3", "--seed", "123", "--format", "csv",
-                       "--per-trial")
+def test_environment_variable_supplies_the_default_seed(run_cli, monkeypatch):
+    args = ("run", "kvv", "n=5", "--algorithm", "ranking", "--trials", "3",
+            "--format", "csv", "--per-trial")
+    via_flag = run_cli(*args, "--seed", "123")
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "123")
+    via_env = run_cli(*args)
     assert via_env.stdout == via_flag.stdout
-    bad = run_cli("run", "kvv", "n=5", "--algorithm", "ranking",
-                  env_extra={cli.SEED_ENV_VAR: "ten"})
-    assert bad.returncode == 1
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "ten")
+    assert run_cli(*args).returncode == 1
 
 
-def test_exact_multi_pass_runs_collapse_to_one_row():
+def test_reproduce_defaults_to_seed_101_and_ignores_the_environment(
+        run_cli, monkeypatch):
+    seeds = []
+
+    def stub(seed, workers):
+        seeds.append(seed)
+        return ReproduceResult("ranking-kvv", True, [], {})
+
+    monkeypatch.setitem(REPRODUCTIONS, "ranking-kvv", stub)
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "5")
+    assert run_cli("reproduce", "ranking-kvv").returncode == 0
+    assert run_cli("reproduce", "ranking-kvv", "--seed", "7").returncode == 0
+    assert seeds == [101, 7]
+
+
+def test_exact_multi_pass_runs_collapse_to_one_row(run_cli):
     res = run_cli("run", "fibonacci", "k=4", "--algorithm", "category-advice",
                   "--k", "4", "--trials", "5", "--format", "csv", "--per-trial")
     lines = res.stdout.strip().split("\n")
@@ -221,7 +253,7 @@ def test_exact_multi_pass_runs_collapse_to_one_row():
     assert (row[5], row[6]) == ("21", "34")
 
 
-def test_usage_errors_exit_one():
+def test_usage_errors_exit_one(run_cli):
     assert run_cli("run", "kvv", "n=5", "--algorithm", "sorting").returncode == 1
     assert run_cli("run", "kvv", "n=0", "--algorithm", "ranking").returncode == 1
     assert run_cli("run", "kvv", "n=five", "--algorithm", "ranking").returncode == 1
@@ -253,7 +285,7 @@ def test_reproduce_wiring_reports_band_failures_with_exit_two(monkeypatch, capsy
     assert "FAIL: always-red" in out and "outside" in out
 
 
-def test_reproduce_passes_exit_zero():
+def test_reproduce_passes_exit_zero(run_cli):
     res = run_cli("reproduce", "fibonacci-ratios")
     assert res.returncode == 0
     assert res.stdout.strip().endswith("PASS: fibonacci-ratios")

@@ -10,6 +10,8 @@ from matchlab.graphs import (BRUTE_FORCE_MAX_ONLINE, BipartiteGraph, Matching,
                              random_bipartite, verify_matching)
 from matchlab.rng import derive_seed, make_rng
 
+from conftest import offline_neighbors
+
 SEED = 24601
 
 
@@ -50,9 +52,12 @@ def test_degree_tables_and_edge_queries():
     g = BipartiteGraph.from_rows(3, 3, [[0, 1], [1], []])
     assert g.online_degrees.tolist() == [2, 1, 0]
     assert g.offline_degrees.tolist() == [1, 2, 0]
-    assert g.has_edge(0, 1) and not g.has_edge(2, 0) and not g.has_edge(1, 2)
-    assert g.offline_neighbors(1).tolist() == [0, 1]
+    assert offline_neighbors(g, 1).tolist() == [0, 1]
     assert g.n_edges == 3
+    for u, v, edge in [(0, 1, True), (2, 0, False), (1, 2, False)]:
+        m = Matching(3, 3)
+        m.match(u, v)  # partner maps agree, so only the edge is checked
+        assert verify_matching(g, m) == edge
 
 
 def test_both_side_indexes_agree_on_fuzz_graphs():
@@ -60,7 +65,7 @@ def test_both_side_indexes_agree_on_fuzz_graphs():
         g = _fuzz_graph(i)
         edges = {(u, int(v)) for u in range(g.n_online) for v in g.neighbors(u)}
         back = {(int(u), v) for v in range(g.n_offline)
-                for u in g.offline_neighbors(v)}
+                for u in offline_neighbors(g, v)}
         assert edges == back
         assert len(edges) == g.n_edges
 
@@ -110,7 +115,7 @@ def test_matching_bookkeeping():
     m.match(2, 0)
     assert m.size == 2
     assert m.pairs() == [(0, 2), (2, 0)]
-    assert m.matched_offline_mask().tolist() == [True, False, True]
+    assert m.partner_of_offline.tolist() == [2, -1, 0]
     with pytest.raises(AssertionError):
         m.match(1, 2)  # offline side already taken
 

@@ -27,7 +27,7 @@ from matchlab.priority import (LiveState, run_min_greedy, run_min_ranking,
                                run_min_ranking_fixed)
 from matchlab.rng import Draws, make_rng
 
-from conftest import is_maximal
+from conftest import is_maximal, offline_neighbors
 
 SETTINGS = settings(max_examples=60, derandomize=True, deadline=None,
                     database=None)
@@ -63,7 +63,7 @@ def test_csc_arrays_are_the_transpose(case):
     assert "indices_offline" not in vars(g)
     for v in range(n_offline):
         naive = [u for u in range(n_online) if v in rows[u]]
-        assert g.offline_neighbors(v).tolist() == naive
+        assert offline_neighbors(g, v).tolist() == naive
         assert g.offline_degrees[v] == len(naive)
     for a in (g.indptr, g.indices, g.online_degrees, g.offline_degrees,
               g.indptr_offline, g.indices_offline):
@@ -171,7 +171,7 @@ def _refined_sigma_advice(g, arrival, k):
     for i in range(1, k + 1):
         m = run_ranking(g, arrival, refine_sigma(Permutation.identity(g.n_offline), cat))
         sizes.append(m.size)
-        cat[(cat == online.CATEGORY_NEG_INF) & m.matched_offline_mask()] = -i
+        cat[(cat == online.CATEGORY_NEG_INF) & (m.partner_of_offline >= 0)] = -i
     return m, sizes
 
 
@@ -211,7 +211,7 @@ def _full_scan_min_degree_loop(g, rng, rank, on_step=None):
         m.match(u, v)
         alive_v[v] = False
         curdeg[u] = priority._DEAD
-        curdeg[g.offline_neighbors(v)] -= 1
+        curdeg[offline_neighbors(g, v)] -= 1
     return m
 
 
