@@ -93,10 +93,9 @@ def _count_chain(n: int, step) -> np.ndarray:
         x = float(n - t)
         y = np.arange(t + 1, dtype=np.float64)
         p_inc = step(x, y)
-        new = np.zeros(n + 1, dtype=np.float64)
-        new[:t + 1] = dist[:t + 1] * (1.0 - p_inc)
-        new[1:t + 2] += dist[:t + 1] * p_inc
-        dist = new
+        inc = dist[:t + 1] * p_inc
+        dist[:t + 1] *= 1.0 - p_inc
+        dist[1:t + 2] += inc
     return dist
 
 

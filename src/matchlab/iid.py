@@ -26,7 +26,7 @@ from matchlab.graphs import BipartiteGraph, Matching
 from matchlab.online import arrival_pass, tie_rule
 from matchlab.rng import make_rng
 
-CONSISTENCY_MAX_ONLINE = 6
+CONSISTENCY_MAX_STATES = 50_000  # (free set, position) states a check may reach
 CONSISTENCY_MAX_VIOLATIONS = 16  # violations a consistency report keeps
 
 
@@ -93,9 +93,9 @@ def run_greedy_iid(g: BipartiteGraph, inst: InstanceSample,
 
 @dataclass
 class ConsistencyReport:
-    """Result of exhaustively checking a decision rule for consistency."""
+    """Result of checking a decision rule for consistency."""
 
-    sequences_checked: int
+    states_checked: int
     contexts_checked: int
     violations: list = field(default_factory=list)
 
@@ -105,58 +105,59 @@ class ConsistencyReport:
 
 
 def check_consistency(g: BipartiteGraph, rule) -> ConsistencyReport:
-    """Exhaustively test a decision rule for arrival-order consistency.
+    """Test a decision rule for arrival-order consistency.
 
-    Enumerates every arrival sequence of length |U| over the types and
-    records, per type, the choice made in each availability context.  A
-    rule is consistent when the choice is a function of (type, available
-    set) alone and shrinking the available set around a kept choice does
-    not change it; both requirements are checked over all context pairs.
-    `rule` is a priority or a chooser, reused for every sequence, so a
-    chooser must keep no state between calls.  A priority is an int64
-    key array, recorded as the chooser of the available vertex of least
-    key, the lowest index among equal keys.
-    Guarded to |U| <= 6.
+    Lets every type arrive in every (free offline set, arrival position)
+    state that arrival sequences of length |U| reach, breadth first; that
+    meets the (type, available set, position) triples of all |U|^|U|
+    sequences.  A state's witness is the first prefix reaching it, types
+    in ascending order.  A rule is consistent when the choice is a function
+    of (type, available set) alone and shrinking the available set around
+    a kept choice does not change it; both are checked over all context
+    pairs.  `rule` is a priority or a stateless chooser, given `avail`
+    sorted; a priority (int64 keys) takes the available vertex of least
+    key, lowest index first.  Refused past CONSISTENCY_MAX_STATES states.
     """
     n = g.n_online
-    if n > CONSISTENCY_MAX_ONLINE:
-        raise ValueError(f"consistency check limited to |U| <= {CONSISTENCY_MAX_ONLINE}")
-    seen: dict[int, dict[frozenset, tuple[int, tuple, int]]] = {}
+    ptr = g.indptr.tolist()
+    nbrs = [frozenset(g.indices[ptr[t]:ptr[t + 1]].tolist()) for t in range(n)]
+    seen: dict[int, dict[frozenset, tuple[int, tuple]]] = {}
     violations: list[dict] = []
-
-    def record(t, avail, pos):
-        v = int(rule(t, avail, pos) if callable(rule)
-                else avail[rule[avail].argmin()])
-        key = frozenset(avail.tolist())
-        prev = seen.setdefault(t, {}).get(key)
-        if prev is None:
-            seen[t][key] = (v, seq, pos)
-        elif prev[0] != v and len(violations) < CONSISTENCY_MAX_VIOLATIONS:
-            violations.append({
-                "kind": "same-context", "type": t, "avail": sorted(key),
-                "matches": (prev[0], v),
-                "witness": (prev[1], prev[2], seq, pos)})
-        return v
-
-    sequences = 0
-    for seq in itertools.product(range(n), repeat=n):
-        sequences += 1
-        arrival_pass(g, seq, record)
-    contexts = 0
+    level = {frozenset(range(g.n_offline)): ()}  # free set -> witness prefix
+    states = len(level)
+    for pos in range(n):
+        nxt: dict[frozenset, tuple] = {}
+        for free, prefix in level.items():
+            for t in range(n):
+                seq, key, after = prefix + (t,), free & nbrs[t], free
+                if key:
+                    avail = np.array(sorted(key), dtype=np.int64)
+                    v = int(rule(t, avail, pos) if callable(rule)
+                            else avail[rule[avail].argmin()])
+                    prev = seen.setdefault(t, {}).setdefault(key, (v, seq))
+                    if prev[0] != v and len(violations) < CONSISTENCY_MAX_VIOLATIONS:
+                        violations.append({
+                            "kind": "same-context", "type": t, "avail": sorted(key),
+                            "matches": (prev[0], v), "witness": (prev[1], seq)})
+                    after = free - {v}
+                if pos + 1 < n and after not in nxt:
+                    states += 1
+                    if states > CONSISTENCY_MAX_STATES:
+                        raise ValueError("consistency check reaches more than "
+                                         f"{CONSISTENCY_MAX_STATES} states")
+                    nxt[after] = seq
+        level = nxt
     for t, ctx in seen.items():
-        keys = list(ctx)
-        contexts += len(keys)
-        for big, small in itertools.permutations(keys, 2):
-            if small < big and ctx[big][0] in small and ctx[small][0] != ctx[big][0]:
-                if len(violations) < CONSISTENCY_MAX_VIOLATIONS:
-                    violations.append({
-                        "kind": "subset", "type": t,
-                        "avail": sorted(big), "sub_avail": sorted(small),
-                        "matches": (ctx[big][0], ctx[small][0]),
-                        "witness": (ctx[big][1], ctx[big][2],
-                                    ctx[small][1], ctx[small][2])})
-    return ConsistencyReport(sequences_checked=sequences,
-                             contexts_checked=contexts,
+        for big, small in itertools.permutations(ctx, 2):
+            (vb, wb), (vs, ws) = ctx[big], ctx[small]
+            if (small < big and vb in small and vs != vb
+                    and len(violations) < CONSISTENCY_MAX_VIOLATIONS):
+                violations.append({
+                    "kind": "subset", "type": t,
+                    "avail": sorted(big), "sub_avail": sorted(small),
+                    "matches": (vb, vs), "witness": (wb, ws)})
+    return ConsistencyReport(states_checked=states,
+                             contexts_checked=sum(map(len, seen.values())),
                              violations=violations)
 
 

@@ -1,6 +1,6 @@
 """Shared pytest plumbing for the acceptance summary block, plus the
-position-dependent control rule for the consistency checker, the
-maximality check of a matching and the CSC neighbour lookup."""
+position-dependent and size-dependent control rules for the consistency
+checker, the maximality check of a matching and the CSC neighbour lookup."""
 
 import numpy as np
 
@@ -35,6 +35,16 @@ def parity_control_chooser(t, avail, pos):
     happens, not only on what is available.
     """
     return int(avail[0]) if pos % 2 == 0 else int(avail[-1])
+
+
+def size_parity_chooser(t, avail, pos):
+    """Rule that depends only on (type, available set), yet is inconsistent.
+
+    Picks the lowest-index candidate from an even-sized set and the
+    highest from an odd-sized one, so shrinking the set around a choice
+    can change it: only the subset check flags it.
+    """
+    return int(avail[0]) if avail.size % 2 == 0 else int(avail[-1])
 
 
 def is_maximal(g, m) -> bool:

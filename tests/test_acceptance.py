@@ -15,7 +15,8 @@ import time
 import numpy as np
 
 from matchlab.experiments import reproduce
-from matchlab.families import (fibonacci, gen_h_graph, gen_kvv_triangular)
+from matchlab.families import (build_family, fibonacci, gen_h_graph,
+                               gen_kvv_triangular)
 from matchlab.graphs import (BipartiteGraph, Permutation,
                              brute_force_maximum_matching, maximum_matching,
                              random_bipartite, verify_matching)
@@ -199,6 +200,9 @@ def _consistency_catalogue():
     graphs.append(BipartiteGraph.from_rows(4, 4, [[0, 1, 2, 3], [0], [1], [2]]))
     rng = np.random.default_rng(derive_seed(SEED, 1100))
     graphs.extend(random_bipartite(4, 4, 0.5, rng) for _ in range(200))
+    # the paper's known-IID hard families, 12 and 9 types
+    graphs.append(build_family("mindegreehard", {"L": 2, "N": 2, "K": 2})[0])
+    graphs.append(build_family("goelmehta", {"L": 3, "N": 3})[0])
     return graphs
 
 
@@ -206,18 +210,22 @@ def test_criterion_11_arrival_order_consistency_catalogue():
     t0 = time.perf_counter()
     catalogue = _consistency_catalogue()
     sigma_rng = np.random.default_rng(derive_seed(SEED, 1200))
-    ok = len(catalogue) == 682 + 4 + 200
-    parity_flagged = 0
+    ok = len(catalogue) == 682 + 4 + 200 + 2
+    parity_flagged = []
     for g in catalogue:
         rank = Permutation.random(g.n_offline, sigma_rng).rank
         ok &= check_consistency(g, make_min_degree_rule(g, "lowest-index")).ok
         ok &= check_consistency(g, rank).ok  # fixed-priority greedy
-        parity_flagged += not check_consistency(g, parity_control_chooser).ok
-    ok &= parity_flagged >= 1
+        parity_flagged.append(not check_consistency(g, parity_control_chooser).ok)
+    for g in catalogue[-2:]:
+        ok &= check_consistency(g, make_min_degree_rule(g, "max-index")).ok
+    ok &= all(parity_flagged[-2:])
     _finish(11, "arrival-order consistency over the graph catalogue", ok,
-            f"{len(catalogue)} graphs; degree rule and fixed-priority "
-            f"greedy always consistent, position-dependent control flagged "
-            f"on {parity_flagged}", time.perf_counter() - t0)
+            f"{len(catalogue)} graphs, with mindegreehard L=2 N=2 K=2 and "
+            f"goelmehta L=3 N=3; degree rule (both index ties on the two "
+            f"families) and fixed-priority greedy always consistent, "
+            f"position-dependent control flagged on {sum(parity_flagged)}, "
+            f"both families among them", time.perf_counter() - t0)
 
 
 def test_criterion_12_exact_optimum_dual_oracle_agreement():

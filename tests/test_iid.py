@@ -5,18 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from matchlab import iid
 from matchlab.experiments import ExperimentSpec, run_experiment
 from matchlab.families import gen_h_graph, gen_min_degree_hard
 from matchlab.graphs import BipartiteGraph, maximum_matching, verify_matching
-from matchlab.iid import (CONSISTENCY_MAX_ONLINE, check_consistency,
-                          gadget_overflow_count, make_min_degree_rule,
-                          materialize_instance,
+from matchlab.iid import (check_consistency, gadget_overflow_count,
+                          make_min_degree_rule, materialize_instance,
                           run_greedy_iid, run_min_degree, run_rule,
                           sample_instance)
 from matchlab.online import arrival_pass, tie_rule
 from matchlab.rng import derive_seed, make_rng
 
-from conftest import parity_control_chooser
+from conftest import parity_control_chooser, size_parity_chooser
 
 SEED = 40320
 
@@ -175,7 +175,16 @@ def test_consistency_holds_for_index_and_degree_rules():
                      make_min_degree_rule(tg, "max-index")):
             report = check_consistency(tg, rule)
             assert report.ok, report.violations
-            assert report.sequences_checked == tg.n_online ** tg.n_online
+
+    def states(n):
+        # every first arrival is matched, so after p >= 1 arrivals 1..p of
+        # the n offline vertices are taken
+        return 1 + sum(math.comb(n, j) for p in range(1, n) for j in range(1, p + 1))
+    assert (states(3), states(4)) == (10, 29)
+    for n in range(1, 6):
+        tg = _identity_tg(n)
+        report = check_consistency(tg, make_min_degree_rule(tg))
+        assert report.ok and report.states_checked == states(n)
 
 
 def test_consistency_checker_flags_the_position_dependent_rule():
@@ -187,11 +196,26 @@ def test_consistency_checker_flags_the_position_dependent_rule():
     assert "same-context" in kinds
 
 
-def test_consistency_checker_respects_the_size_guard():
-    n = CONSISTENCY_MAX_ONLINE + 1
-    tg = _tg([[0]] * n, 1)
-    with pytest.raises(ValueError):
+def test_consistency_checker_flags_the_size_dependent_rule():
+    # type 0 takes 2 from {0, 1, 2} but 1 from {1, 2}, once type 1 took 0
+    tg = _tg([[0, 1, 2], [0]], 3)
+    report = check_consistency(tg, size_parity_chooser)
+    assert [(v["kind"], v["avail"], v["sub_avail"], v["matches"])
+            for v in report.violations] == [("subset", [0, 1, 2], [1, 2], (2, 1))]
+
+
+def test_consistency_checker_respects_the_size_guard(monkeypatch):
+    tg = _identity_tg(4)  # reaches 29 states
+    monkeypatch.setattr(iid, "CONSISTENCY_MAX_STATES", 28)
+    with pytest.raises(ValueError, match="more than 28 states") as exc:
         check_consistency(tg, parity_control_chooser)
+    assert "\n" not in str(exc.value)
+    monkeypatch.setattr(iid, "CONSISTENCY_MAX_STATES", 29)
+    assert check_consistency(tg, parity_control_chooser).states_checked == 29
+    monkeypatch.undo()
+    # seven types were past the old |U| <= 6 cap on enumerated sequences
+    report = check_consistency(_tg([[0]] * 7, 1), parity_control_chooser)
+    assert report.ok and report.states_checked == 7
 
 
 def test_consistency_is_vacuous_for_single_type_graphs():

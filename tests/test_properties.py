@@ -1,11 +1,13 @@
 """Property-based checks of the CSR graph, the arrival-pass kernel and
 the min-degree loop, the kernels against chooser and full-scan references,
-category advice against ranking under a refined priority list, and bulk
-`Draws` against scalar `rng.integers` calls.
+category advice against ranking under a refined priority list, bulk
+`Draws` against scalar `rng.integers` calls, and the consistency checker
+against enumeration of every arrival sequence.
 
 Examples are derandomized and few, so every run draws the same graphs.
 """
 
+import itertools
 import json
 from unittest import mock
 
@@ -18,25 +20,26 @@ from matchlab import online, priority
 from matchlab.graphs import (BipartiteGraph, Matching, Permutation,
                              graph_from_dict, graph_to_dict, maximum_matching,
                              verify_matching)
-from matchlab.iid import (make_min_degree_rule, materialize_instance,
-                          run_greedy_iid, run_min_degree, run_rule,
-                          sample_instance)
+from matchlab.iid import (check_consistency, make_min_degree_rule,
+                          materialize_instance, run_greedy_iid,
+                          run_min_degree, run_rule, sample_instance)
 from matchlab.online import (TIE_BREAKS, arrival_pass, run_category_advice,
                              run_greedy, run_ranking, tie_rule)
 from matchlab.priority import (LiveState, run_min_greedy, run_min_ranking,
                                run_min_ranking_fixed)
 from matchlab.rng import Draws, make_rng
 
-from conftest import is_maximal, offline_neighbors
+from conftest import (is_maximal, offline_neighbors, parity_control_chooser,
+                      size_parity_chooser)
 
 SETTINGS = settings(max_examples=60, derandomize=True, deadline=None,
                     database=None)
 
 
 @st.composite
-def shuffled_rows(draw):
+def shuffled_rows(draw, max_online=7):
     """(n_online, n_offline, rows): each row distinct ids in any order."""
-    n_online = draw(st.integers(0, 7))
+    n_online = draw(st.integers(0, max_online))
     n_offline = draw(st.integers(1, 7))
     rows = [draw(st.lists(st.integers(0, n_offline - 1), unique=True,
                           max_size=n_offline)) for _ in range(n_online)]
@@ -324,3 +327,41 @@ def test_random_tie_rules_match_the_scalar_draw_reference(case, seed):
             rule = (tie_rule(g.n_offline, "random", seed) if degree is None
                     else make_min_degree_rule(g, "random", seed))
             assert np.array_equal(run_rule(g, rows, rule).partner_of_online, ref)
+
+
+def _enumerated_consistency(g, rule):
+    """Reference consistency check: runs all |U|^|U| arrival sequences.
+
+    Keeps each type's first choice per available set and returns (ok,
+    contexts) under `check_consistency`'s same-context and subset rules.
+    """
+    seen: dict[int, dict[frozenset, int]] = {}
+    ok = True
+
+    def record(t, avail, pos):
+        nonlocal ok
+        v = int(rule(t, avail, pos) if callable(rule)
+                else avail[rule[avail].argmin()])
+        ok &= seen.setdefault(t, {}).setdefault(frozenset(avail.tolist()), v) == v
+        return v
+
+    n = g.n_online
+    for seq in itertools.product(range(n), repeat=n):
+        arrival_pass(g, seq, record)
+    for ctx in seen.values():
+        for big, small in itertools.permutations(ctx, 2):
+            ok &= not (small < big and ctx[big] in small and ctx[small] != ctx[big])
+    return ok, sum(map(len, seen.values()))
+
+
+@SETTINGS
+@given(shuffled_rows(max_online=5), st.integers(0, 2 ** 32))
+@example((2, 2, [[], [0, 1]]), 0)  # a type with no neighbors: parity flagged
+def test_consistency_check_matches_the_enumerating_reference(case, seed):
+    g = BipartiteGraph.from_rows(*case)
+    for rule in (make_min_degree_rule(g, "lowest-index"),
+                 make_min_degree_rule(g, "max-index"),
+                 Permutation.random(g.n_offline, make_rng(seed)).rank,
+                 parity_control_chooser, size_parity_chooser):
+        report = check_consistency(g, rule)
+        assert (report.ok, report.contexts_checked) == _enumerated_consistency(g, rule)
