@@ -9,7 +9,6 @@ exact chain analysis behind the degree-driven variants.
 from matchlab.graphs import (
     BipartiteGraph,
     Matching,
-    Permutation,
     brute_force_maximum_matching,
     graph_from_dict,
     graph_to_dict,
@@ -22,7 +21,6 @@ from matchlab.rng import derive_seed, make_rng
 __all__ = [
     "BipartiteGraph",
     "Matching",
-    "Permutation",
     "brute_force_maximum_matching",
     "derive_seed",
     "graph_from_dict",

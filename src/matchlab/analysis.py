@@ -119,7 +119,6 @@ def simulate_rhs_empirical(n: int, trials: int, seed: int) -> TrialStats:
     reduction end to end.
     """
     from matchlab.families import gen_h_graph
-    from matchlab.graphs import Permutation
     from matchlab.priority import run_rhs_greedy
 
     if n < 1 or trials < 1:
@@ -127,10 +126,8 @@ def simulate_rhs_empirical(n: int, trials: int, seed: int) -> TrialStats:
     g, desc = gen_h_graph(n, n)
     counts = np.empty(trials, dtype=np.int64)
     for t in range(trials):
-        rng = make_rng(derive_seed(seed, t))
-        order = Permutation.random(2 * n, rng)
-        _, pendants = run_rhs_greedy(g, desc, order)
-        counts[t] = pendants
+        order = make_rng(derive_seed(seed, t)).permutation(2 * n)
+        counts[t] = run_rhs_greedy(g, desc, order)[1]
     return trial_stats(counts)
 
 

@@ -27,7 +27,7 @@ from matchlab.analysis import (FiniteSizeExpectation, expected_bp_sizes,
                                simulate_rhs_empirical, trial_stats)
 from matchlab.families import (TYPE_FAMILIES, build_family, fibonacci,
                                params_label)
-from matchlab.graphs import Permutation, maximum_matching
+from matchlab.graphs import maximum_matching
 from matchlab.iid import (gadget_overflow_count, run_greedy_iid,
                           run_min_degree, sample_instance)
 from matchlab.online import (TIE_BREAKS, run_category_advice, run_greedy,
@@ -113,13 +113,12 @@ class TrialRow:
         return self.alg_size / self.opt_size
 
 
-def _run_block(spec_dict: dict, lo: int, hi: int) -> list[tuple[int, int, int]]:
+def _run_block(spec: ExperimentSpec, lo: int, hi: int) -> list[tuple[int, int, int]]:
     """Trials [lo, hi) of an experiment; returns (trial, alg, opt) triples.
 
     Top-level so process pools can ship it; rebuilding the family per
     block is cheap and keeps workers free of shared state.
     """
-    spec = ExperimentSpec(**spec_dict)
     g, _ = build_family(spec.family, spec.family_params)
     alg, tie = spec.algorithm, spec.tie_break or "lowest-index"
     out: list[tuple[int, int, int]] = []
@@ -139,7 +138,7 @@ def _run_block(spec_dict: dict, lo: int, hi: int) -> list[tuple[int, int, int]]:
     for t in range(lo, hi):
         ts = derive_seed(spec.seed, t)
         if alg == "ranking":
-            m = run_ranking(g, None, Permutation.random(g.n_offline, make_rng(ts)))
+            m = run_ranking(g, None, np.argsort(make_rng(ts).permutation(g.n_offline)))
         elif alg == "greedy":
             m = run_greedy(g, tie_break=tie, seed=ts)
         elif alg == "mingreedy":
@@ -156,20 +155,21 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[TrialRow]:
     Results are a pure function of `spec`: per-trial seeds are derived
     from (seed, trial index), and worker outputs are merged by index, so
     any worker count produces the same rows.  Ranking trial t draws its
-    sigma from derive_seed(seed, t); IID trial t samples its instance from
+    ranks from derive_seed(seed, t); IID trial t samples its instance from
     derive_seed(seed, 2t) and seeds its rule with derive_seed(seed, 2t + 1).
-    Workers are capped at the trial count and at os.cpu_count().
+    Workers, at least 1, are capped at the trial count and os.cpu_count().
     """
     spec.validate()
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     trials = 1 if spec.algorithm == "category-advice" else spec.trials
-    d = spec.to_dict()
     workers = min(workers, trials, os.cpu_count() or 1)
-    if workers <= 1:
-        triples = _run_block(d, 0, trials)
+    if workers == 1:
+        triples = _run_block(spec, 0, trials)
     else:
         bounds = np.linspace(0, trials, workers + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_block, d, int(lo), int(hi))
+            futures = [pool.submit(_run_block, spec, int(lo), int(hi))
                        for lo, hi in zip(bounds[:-1], bounds[1:])]
             triples = [row for f in futures for row in f.result()]
     return [TrialRow(*triple) for triple in sorted(triples)]
@@ -390,4 +390,6 @@ def reproduce(name: str, seed: int = DEFAULT_SEED,
     if name not in REPRODUCTIONS:
         raise ValueError(f"unknown reproduction {name!r}; "
                          f"choose from {sorted(REPRODUCTIONS)}")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     return REPRODUCTIONS[name](seed=seed, workers=workers)

@@ -168,45 +168,6 @@ class Matching:
         return f"Matching(size={self.size}, pairs={self.pairs()})"
 
 
-class Permutation:
-    """Permutation of n items with both directions precomputed.
-
-    order[p] is the item at position p; rank[x] is the position of item x.
-    Used both for arrival orders (online side) and priority lists
-    (offline side).
-    """
-
-    def __init__(self, order) -> None:
-        self.order = np.asarray(order, dtype=np.int64)
-        n = self.order.size
-        if n and (self.order.min() < 0 or self.order.max() >= n
-                  or np.bincount(self.order, minlength=n).max() != 1):
-            raise ValueError("not a permutation of 0..n-1")
-        self.rank = np.empty(n, dtype=np.int64)
-        self.rank[self.order] = np.arange(n)
-        self.order.flags.writeable = False
-        self.rank.flags.writeable = False
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(np.arange(n))
-
-    @classmethod
-    def random(cls, n: int, rng: np.random.Generator) -> "Permutation":
-        return cls(rng.permutation(n))
-
-    def __len__(self) -> int:
-        return self.order.size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return np.array_equal(self.order, other.order)
-
-    def __repr__(self) -> str:
-        return f"Permutation({self.order.tolist()})"
-
-
 def verify_matching(g: BipartiteGraph, m: Matching) -> bool:
     """True iff m is a valid (not necessarily maximal) matching of g."""
     if m.n_online != g.n_online or m.n_offline != g.n_offline:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from matchlab.graphs import BipartiteGraph, Matching, Permutation
+from matchlab.graphs import BipartiteGraph, Matching
 from matchlab.rng import Draws, make_rng
 
 # Category value meaning "never matched so far"; strictly below every
@@ -79,7 +79,7 @@ def tie_rule(n_offline: int, tie_break: str = "lowest-index",
     if tie_break != "random":
         index = np.arange(n_offline) * (1 if tie_break == "lowest-index" else -1)
         keys = (index,) if degree is None else (index, degree)
-        return Permutation(np.lexsort(keys)).rank
+        return np.argsort(np.lexsort(keys))
     if seed is None:
         raise ValueError("random tie break needs a seed")
     draws = Draws(make_rng(seed))
@@ -92,17 +92,16 @@ def tie_rule(n_offline: int, tie_break: str = "lowest-index",
     return choose
 
 
-def _online_pass(g: BipartiteGraph, arrival: Permutation | None, rule) -> Matching:
-    if arrival is None:
-        arrival = Permutation.identity(g.n_online)
-    elif len(arrival) != g.n_online:
+def _online_pass(g: BipartiteGraph, arrival: np.ndarray | None, rule) -> Matching:
+    arrival = np.arange(g.n_online) if arrival is None else arrival
+    if len(arrival) != g.n_online:
         raise ValueError("arrival order size must equal n_online")
     partner = np.empty(g.n_online, dtype=np.int64)
-    partner[arrival.order] = arrival_pass(g, arrival.order, rule)
+    partner[arrival] = arrival_pass(g, arrival, rule)
     return Matching.from_partners(partner, g.n_offline)
 
 
-def run_greedy(g: BipartiteGraph, arrival: Permutation | None = None,
+def run_greedy(g: BipartiteGraph, arrival: np.ndarray | None = None,
                tie_break: str = "lowest-index", seed: int | None = None) -> Matching:
     """One greedy pass: match each arrival to a free neighbor if any.
 
@@ -112,18 +111,20 @@ def run_greedy(g: BipartiteGraph, arrival: Permutation | None = None,
     return _online_pass(g, arrival, tie_rule(g.n_offline, tie_break, seed))
 
 
-def run_ranking(g: BipartiteGraph, arrival: Permutation | None,
-                sigma: Permutation) -> Matching:
-    """Greedy pass matching each arrival to its best-ranked free neighbor.
+def run_ranking(g: BipartiteGraph, arrival: np.ndarray | None,
+                rank: np.ndarray) -> Matching:
+    """Greedy pass matching each arrival to its free neighbor of least rank.
 
-    sigma ranks the offline side; lower rank wins.
+    rank[v] is offline vertex v's key; Ranking draws it as the positions
+    of a uniform permutation, np.argsort(rng.permutation(n_offline)).
+    arrival[p] is the online vertex arriving at position p (None: 0, 1, ...).
     """
-    if len(sigma) != g.n_offline:
-        raise ValueError("sigma size must equal n_offline")
-    return _online_pass(g, arrival, sigma.rank)
+    if len(rank) != g.n_offline:
+        raise ValueError("rank size must equal n_offline")
+    return _online_pass(g, arrival, rank)
 
 
-def run_category_advice(g: BipartiteGraph, arrival: Permutation | None = None,
+def run_category_advice(g: BipartiteGraph, arrival: np.ndarray | None = None,
                         k: int = 1) -> tuple[Matching, list[int]]:
     """k-pass matching with category advice; returns (last pass, sizes).
 

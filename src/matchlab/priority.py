@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from matchlab.families import FamilyDescriptor
-from matchlab.graphs import BipartiteGraph, Matching, Permutation
+from matchlab.graphs import BipartiteGraph, Matching
 from matchlab.rng import Draws, make_rng
 
 _DEAD = 1 << 40  # sentinel degree for processed online vertices
@@ -89,8 +89,7 @@ def _min_degree_loop(g: BipartiteGraph, rng: np.random.Generator | None,
 
 def run_min_greedy(g: BipartiteGraph, seed: int, on_step=None) -> Matching:
     """Min-degree selection, uniformly random free partner."""
-    rng = make_rng(seed)
-    return _min_degree_loop(g, rng, None, on_step)
+    return _min_degree_loop(g, make_rng(seed), None, on_step)
 
 
 def run_min_ranking(g: BipartiteGraph, seed: int, on_step=None) -> Matching:
@@ -100,24 +99,24 @@ def run_min_ranking(g: BipartiteGraph, seed: int, on_step=None) -> Matching:
     selection among tied minimum-degree vertices stays random afterwards.
     """
     rng = make_rng(seed)
-    rank = Permutation.random(g.n_offline, rng).rank
+    rank = np.argsort(rng.permutation(g.n_offline))
     return _min_degree_loop(g, rng, rank, on_step)
 
 
-def run_min_ranking_fixed(g: BipartiteGraph, pi: Permutation, on_step=None) -> Matching:
-    """Deterministic variant: given priority list, lowest-index selection.
+def run_min_ranking_fixed(g: BipartiteGraph, rank: np.ndarray, on_step=None) -> Matching:
+    """Deterministic variant: given rank (key) array, lowest-index selection.
 
     Lets tests compare against the offline-order twin run for run; on
     graphs where tied vertices are interchangeable the tie rule is
     immaterial, which is exactly what the equivalence tests exercise.
     """
-    if len(pi) != g.n_offline:
-        raise ValueError("pi size must equal n_offline")
-    return _min_degree_loop(g, None, pi.rank, on_step)
+    if len(rank) != g.n_offline:
+        raise ValueError("rank size must equal n_offline")
+    return _min_degree_loop(g, None, np.asarray(rank), on_step)
 
 
 def run_rhs_greedy(g: BipartiteGraph, desc: FamilyDescriptor,
-                   offline_order: Permutation) -> tuple[Matching, int]:
+                   offline_order: np.ndarray) -> tuple[Matching, int]:
     """Offline-side pass over a hub-pendant graph.
 
     Receives the offline vertices in the given order and matches each to
@@ -127,8 +126,7 @@ def run_rhs_greedy(g: BipartiteGraph, desc: FamilyDescriptor,
     """
     if desc.family != "hgraph":
         raise ValueError("run_rhs_greedy needs hub-pendant shape metadata")
-    n = desc.params["n"]
-    k = desc.params["k"]
+    n, k = desc.params["n"], desc.params["k"]
     if g.n_online != n or g.n_offline != n + k:
         raise ValueError("graph does not match its descriptor")
     if len(offline_order) != n + k:
@@ -143,8 +141,7 @@ def run_rhs_greedy(g: BipartiteGraph, desc: FamilyDescriptor,
 
     m = Matching(n, n + k)
     pendant_used = 0
-    for v in offline_order.order:
-        v = int(v)
+    for v in offline_order.tolist():
         if v < k:
             u = find(0)
             if u < n:

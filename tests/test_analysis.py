@@ -15,7 +15,7 @@ from matchlab.analysis import (PENDANT_STEP, _sum_below, expected_bp_sizes,
 from matchlab.experiments import STOCHASTIC
 from matchlab.families import (gen_besser_poloczek, gen_goel_mehta,
                                gen_kvv_triangular, gen_min_degree_hard)
-from matchlab.graphs import Permutation, maximum_matching
+from matchlab.graphs import maximum_matching
 from matchlab.iid import (InstanceSample, materialize_instance,
                           run_greedy_iid, run_min_degree)
 from matchlab.online import run_ranking
@@ -198,7 +198,7 @@ def test_finite_size_expectations_at_the_pinned_sizes():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_kvv_chain_equals_ranking_over_all_priority_orders(n):
     g, _ = gen_kvv_triangular(n)
-    sizes = [run_ranking(g, None, Permutation(list(perm))).size
+    sizes = [run_ranking(g, None, np.array(perm)).size
              for perm in itertools.permutations(range(n))]
     assert abs(expected_kvv_sizes(n).alg - sum(sizes) / len(sizes)) < 1e-12
 

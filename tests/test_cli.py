@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import matchlab
 from matchlab import cli, experiments, families, graphs
 from matchlab.experiments import (REPRODUCTIONS, ExperimentSpec,
                                   ReproduceResult, run_experiment)
@@ -35,12 +36,19 @@ def run_cli(capsys, monkeypatch):
     return run
 
 
-def run_cli_process(*args):
-    """The `python -m matchlab.cli` entry point in a fresh interpreter."""
+def run_python(*args):
+    """A fresh interpreter that imports this matchlab, with MATCHLAB_SEED unset."""
     env = dict(os.environ)
     env.pop(cli.SEED_ENV_VAR, None)
-    return subprocess.run([sys.executable, "-m", "matchlab.cli", *args],
-                          capture_output=True, text=True, env=env)
+    src = os.path.dirname(os.path.dirname(matchlab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
+def run_cli_process(*args):
+    """The `python -m matchlab.cli` entry point in a fresh interpreter."""
+    return run_python("-m", "matchlab.cli", *args)
 
 
 def test_per_trial_csv_has_the_fixed_header_and_full_rows(run_cli):
@@ -162,8 +170,7 @@ def test_pass_counts_above_the_cap_are_refused_before_any_pass(monkeypatch, caps
                                   ["-m", "matchlab.cli", "--help"]])
 def test_import_and_help_leave_scipy_unimported(args):
     # -X importtime lists every module a fresh interpreter imports
-    res = subprocess.run([sys.executable, "-X", "importtime", *args],
-                         capture_output=True, text=True)
+    res = run_python("-X", "importtime", *args)
     assert res.returncode == 0
     imported = [line.rsplit("|", 1)[-1].strip()
                 for line in res.stderr.splitlines() if line.startswith("import time:")]
@@ -270,6 +277,11 @@ def test_usage_errors_exit_one(run_cli):
                           "category-advice", "--k", "0")
     assert zero_passes.returncode == 1 and not zero_passes.stdout
     assert len(zero_passes.stderr.strip().splitlines()) == 1
+    for args in (("run", "kvv", "n=5", "--algorithm", "ranking", "--workers", "-3"),
+                 ("reproduce", "fibonacci-ratios", "--workers", "0")):
+        no_workers = run_cli(*args)
+        assert no_workers.returncode == 1 and not no_workers.stdout
+        assert no_workers.stderr.count("\n") == 1 and "workers" in no_workers.stderr
     assert run_cli("oracle", "/no/such/file.json").returncode == 1
 
 

@@ -1,13 +1,13 @@
-"""Graph container, matchings, permutations, and the optimum oracles."""
+"""Graph container, matchings, and the optimum oracles."""
 
 import numpy as np
 import pytest
 
 from matchlab import graphs
 from matchlab.graphs import (BRUTE_FORCE_MAX_ONLINE, BipartiteGraph, Matching,
-                             Permutation, brute_force_maximum_matching,
-                             graph_from_dict, graph_to_dict, maximum_matching,
-                             random_bipartite, verify_matching)
+                             brute_force_maximum_matching, graph_from_dict,
+                             graph_to_dict, maximum_matching, random_bipartite,
+                             verify_matching)
 from matchlab.rng import derive_seed, make_rng
 
 from conftest import offline_neighbors
@@ -132,19 +132,6 @@ def test_verify_matching_accepts_valid_and_rejects_tampered():
     m.partner_of_offline[0] = 0         # partner maps disagree
     assert not verify_matching(g, m)
     assert not verify_matching(g, Matching(1, 2))  # wrong shape
-
-
-def test_permutation_validation_and_inverse():
-    p = Permutation([2, 0, 1])
-    assert p.rank.tolist() == [1, 2, 0]
-    assert len(p) == 3
-    assert Permutation.identity(3) == Permutation([0, 1, 2])
-    for bad in ([0, 0, 1], [0, 3, 1], [-1, 0, 1]):
-        with pytest.raises(ValueError):
-            Permutation(bad)
-    rng = make_rng(SEED)
-    q = Permutation.random(50, rng)
-    assert q.order[q.rank].tolist() == list(range(50))
 
 
 def test_maximum_matching_is_valid_and_matches_brute_force():

@@ -17,9 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchlab import online, priority
-from matchlab.graphs import (BipartiteGraph, Matching, Permutation,
-                             graph_from_dict, graph_to_dict, maximum_matching,
-                             verify_matching)
+from matchlab.graphs import (BipartiteGraph, Matching, graph_from_dict,
+                             graph_to_dict, maximum_matching, verify_matching)
 from matchlab.iid import (check_consistency, make_min_degree_rule,
                           materialize_instance, run_greedy_iid,
                           run_min_degree, run_rule, sample_instance)
@@ -62,7 +61,7 @@ def test_csc_arrays_are_the_transpose(case):
     g = BipartiteGraph.from_rows(n_online, n_offline, rows)
     # the oracle and the arrival pass read only CSR, so CSC is still unbuilt
     maximum_matching(g)
-    run_ranking(g, Permutation.identity(n_online), Permutation.identity(n_offline))
+    run_ranking(g, np.arange(n_online), np.arange(n_offline))
     assert "indices_offline" not in vars(g)
     for v in range(n_offline):
         naive = [u for u in range(n_online) if v in rows[u]]
@@ -84,9 +83,8 @@ def test_json_round_trip(case):
 @given(shuffled_rows(), st.randoms(use_true_random=False), st.integers(0, 2 ** 32))
 def test_every_chooser_yields_a_maximal_matching(case, random, seed):
     g = BipartiteGraph.from_rows(*case)
-    arrival = Permutation(random.sample(range(g.n_online), g.n_online))
-    sigma = Permutation(random.sample(range(g.n_offline), g.n_offline))
-    runs = [run_ranking(g, arrival, sigma)]
+    arrival = _shuffled(random, g.n_online)
+    runs = [run_ranking(g, arrival, _shuffled(random, g.n_offline))]
     runs += [run_greedy(g, arrival, tie, seed) for tie in TIE_BREAKS]
     for m in runs:
         assert verify_matching(g, m) and is_maximal(g, m)
@@ -98,6 +96,11 @@ def test_every_chooser_yields_a_maximal_matching(case, random, seed):
                          make_min_degree_rule(g, tie, seed)):
                 m = run_rule(g, inst.draws, rule)
                 assert verify_matching(gi, m) and is_maximal(gi, m)
+
+
+def _shuffled(random, n):
+    """A uniform order of 0..n-1 drawn from a hypothesis `random`."""
+    return np.array(random.sample(range(n), n), dtype=np.int64)
 
 
 def _chooser_pass(g, rows, choose):
@@ -133,14 +136,14 @@ def _least_degree(degree, end):
 def test_rank_pass_matches_the_chooser_reference(case, seed):
     g = BipartiteGraph.from_rows(*case)
     rng = make_rng(seed)
-    arrival = Permutation.random(g.n_online, rng)
-    sigma = Permutation.random(g.n_offline, rng)
+    arrival = rng.permutation(g.n_online)
+    rank = np.argsort(rng.permutation(g.n_offline))
     ref = np.full(g.n_online, -1, dtype=np.int64)
-    ref[arrival.order] = _chooser_pass(g, arrival.order.tolist(), _least_rank(sigma.rank))
-    assert np.array_equal(run_ranking(g, arrival, sigma).partner_of_online, ref)
+    ref[arrival] = _chooser_pass(g, arrival.tolist(), _least_rank(rank))
+    assert np.array_equal(run_ranking(g, arrival, rank).partner_of_online, ref)
     for tie, end in (("lowest-index", 0), ("max-index", -1)):
-        ref[arrival.order] = _chooser_pass(g, arrival.order.tolist(),
-                                           lambda r, avail, pos: avail[end])
+        ref[arrival] = _chooser_pass(g, arrival.tolist(),
+                                     lambda r, avail, pos: avail[end])
         assert np.array_equal(run_greedy(g, arrival, tie).partner_of_online, ref)
         if g.n_online:
             inst = sample_instance(g, seed)
@@ -156,14 +159,14 @@ def test_rank_pass_matches_the_chooser_reference(case, seed):
             assert run_category_advice(g, arrival, k)[1] == sizes
 
 
-def refine_sigma(sigma, categories):
-    """Reference priority list of a category-advice pass.
+def refine_sigma(rank, categories):
+    """Reference rank array of a category-advice pass.
 
     Ranks v1 before v2 iff categories[v1] < categories[v2], or the
-    categories tie and sigma ranks v1 before v2: a stable sort of the
-    offline side by category.
+    categories tie and rank[v1] < rank[v2]: a stable sort of the offline
+    side by category.
     """
-    return Permutation(np.lexsort((sigma.rank, np.asarray(categories, np.int64))))
+    return np.argsort(np.lexsort((rank, np.asarray(categories, np.int64))))
 
 
 def _refined_sigma_advice(g, arrival, k):
@@ -172,7 +175,7 @@ def _refined_sigma_advice(g, arrival, k):
     cat = np.full(g.n_offline, online.CATEGORY_NEG_INF, dtype=np.int64)
     sizes = []
     for i in range(1, k + 1):
-        m = run_ranking(g, arrival, refine_sigma(Permutation.identity(g.n_offline), cat))
+        m = run_ranking(g, arrival, refine_sigma(np.arange(g.n_offline), cat))
         sizes.append(m.size)
         cat[(cat == online.CATEGORY_NEG_INF) & (m.partner_of_offline >= 0)] = -i
     return m, sizes
@@ -183,7 +186,7 @@ def _refined_sigma_advice(g, arrival, k):
 @example((5, 5, [[0, 1, 3, 4], [0, 1, 3], [0, 1, 2], [0], [1]]), 3)  # fibonacci k=2
 def test_category_advice_matches_ranking_under_refined_sigma(case, seed):
     g = BipartiteGraph.from_rows(*case)
-    for arrival in (None, Permutation.random(g.n_online, make_rng(seed))):
+    for arrival in (None, make_rng(seed).permutation(g.n_online)):
         for k in range(1, 5):
             m, sizes = run_category_advice(g, arrival, k)
             ref_m, ref_sizes = _refined_sigma_advice(g, arrival, k)
@@ -236,10 +239,10 @@ def _traced_min_degree_run(run, loop):
 @given(shuffled_rows(), st.randoms(use_true_random=False), st.integers(0, 2 ** 32))
 def test_min_degree_loop_matches_the_full_scan_reference(case, random, seed):
     g = BipartiteGraph.from_rows(*case)
-    pi = Permutation(random.sample(range(g.n_offline), g.n_offline))
+    rank = _shuffled(random, g.n_offline)
     for run in (lambda step: run_min_greedy(g, seed, step),
                 lambda step: run_min_ranking(g, seed, step),
-                lambda step: run_min_ranking_fixed(g, pi, step)):
+                lambda step: run_min_ranking_fixed(g, rank, step)):
         m, snaps, states = _traced_min_degree_run(run, priority._min_degree_loop)
         ref_m, ref_snaps, ref_states = _traced_min_degree_run(
             run, _full_scan_min_degree_loop)
@@ -314,10 +317,9 @@ def _scalar_random_rule(n_offline, seed, degree=None):
 @example((40, 8, [list(range(8))] * 40), 11)                    # biclique
 def test_random_tie_rules_match_the_scalar_draw_reference(case, seed):
     g = BipartiteGraph.from_rows(*case)
-    arrival = Permutation.random(g.n_online, make_rng(seed))
+    arrival = make_rng(seed).permutation(g.n_online)
     want = np.full(g.n_online, -1, dtype=np.int64)
-    want[arrival.order] = arrival_pass(g, arrival.order,
-                                       _scalar_random_rule(g.n_offline, seed))
+    want[arrival] = arrival_pass(g, arrival, _scalar_random_rule(g.n_offline, seed))
     assert np.array_equal(run_greedy(g, arrival, "random", seed).partner_of_online,
                           want)
     if g.n_online:
@@ -361,7 +363,7 @@ def test_consistency_check_matches_the_enumerating_reference(case, seed):
     g = BipartiteGraph.from_rows(*case)
     for rule in (make_min_degree_rule(g, "lowest-index"),
                  make_min_degree_rule(g, "max-index"),
-                 Permutation.random(g.n_offline, make_rng(seed)).rank,
+                 np.argsort(make_rng(seed).permutation(g.n_offline)),
                  parity_control_chooser, size_parity_chooser):
         report = check_consistency(g, rule)
         assert (report.ok, report.contexts_checked) == _enumerated_consistency(g, rule)
