@@ -65,7 +65,8 @@ class ExperimentSpec:
     passes: int | None = None  # category-advice pass count
 
     def validate(self) -> None:
-        build_family(self.family, self.family_params)  # raises on bad family
+        # raises on a bad family; the graph stays cached for _run_block
+        build_family(self.family, self.family_params)
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; "
                              f"choose from {list(ALGORITHMS)}")
@@ -116,8 +117,9 @@ class TrialRow:
 def _run_block(spec: ExperimentSpec, lo: int, hi: int) -> list[tuple[int, int, int]]:
     """Trials [lo, hi) of an experiment; returns (trial, alg, opt) triples.
 
-    Top-level so process pools can ship it; rebuilding the family per
-    block is cheap and keeps workers free of shared state.
+    Top-level so process pools can ship it.  The family comes from
+    build_family's one-entry cache, which validate filled; pool workers
+    started by fork inherit it, and any other worker builds it once.
     """
     g, _ = build_family(spec.family, spec.family_params)
     alg, tie = spec.algorithm, spec.tie_break or "lowest-index"

@@ -32,9 +32,9 @@ def fibonacci(i: int) -> int:
     return b
 
 
-@dataclass
+@dataclass(frozen=True)
 class FamilyDescriptor:
-    """Layout metadata attached to every generated family instance."""
+    """Layout metadata of a generated family; frozen, as build_family shares it."""
 
     family: str
     params: dict
@@ -281,12 +281,19 @@ FAMILIES = {
 TYPE_FAMILIES = frozenset({"goelmehta", "mindegreehard"})
 
 
+# {(generator, *args): (graph, descriptor)} of the last family generated;
+# emptied before another is generated, so two large graphs never coexist
+_built: dict = {}
+
+
 def build_family(family: str, params: dict) -> tuple[BipartiteGraph, FamilyDescriptor]:
     """Instantiate a named family; validates name, parameter keys and size.
 
     Parameters must be integers (`operator.index`).  The closed-form size
     goes through graphs.check_size, so a family above the vertex or edge
-    cap is refused before anything is allocated.
+    cap is refused before anything is allocated.  Every call validates;
+    a repeat of the last family generated returns the same (graph,
+    descriptor) pair, so a run shares one graph and its CSC.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; "
@@ -299,7 +306,11 @@ def build_family(family: str, params: dict) -> tuple[BipartiteGraph, FamilyDescr
                          f"missing {missing}, unexpected {extra}")
     args = [operator.index(params[p]) for p in names]
     check_size(*sizes(*args))
-    return gen(*args)
+    key = (gen, *args)
+    if key not in _built:
+        _built.clear()
+        _built[key] = gen(*args)
+    return _built[key]
 
 
 def params_label(family: str, params: dict) -> str:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -209,12 +210,18 @@ def test_generate_refuses_families_above_the_edge_cap(monkeypatch, capsys):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+def _record_builds(monkeypatch, family):
+    """Wrap `family`'s generator in FAMILIES; returns the list of its calls."""
+    built = []
+    gen, *rest = families.FAMILIES[family]
+    monkeypatch.setitem(families.FAMILIES, family,
+                        (lambda *a: built.append(a) or gen(*a), *rest))
+    return built
+
+
 def test_generate_refuses_families_above_the_vertex_cap(monkeypatch, capsys):
     monkeypatch.setattr(graphs, "MAX_VERTICES", 20)
-    built = []
-    gen, *rest = families.FAMILIES["hgraph"]
-    monkeypatch.setitem(families.FAMILIES, "hgraph",
-                        (lambda *a: built.append(a) or gen(*a), *rest))
+    built = _record_builds(monkeypatch, "hgraph")
     assert cli.main(["generate", "hgraph", "n=11", "k=10"]) == 1  # 21 offline
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
@@ -222,6 +229,52 @@ def test_generate_refuses_families_above_the_vertex_cap(monkeypatch, capsys):
     assert built == []  # refused before the generator ran
     assert cli.main(["generate", "hgraph", "n=10", "k=10"]) == 0  # 20 offline
     assert built == [(10, 10)]
+
+
+RUN_ARGS = ("--algorithm", "ranking", "--trials", "3", "--seed", "5")
+
+
+def test_a_run_generates_its_family_once(run_cli, monkeypatch):
+    built = _record_builds(monkeypatch, "kvv")
+    first = run_cli("run", "kvv", "n=7", *RUN_ARGS)
+    assert first.returncode == 0 and built == [(7,)]
+    # an identical run reuses the cached graph; other parameters rebuild
+    assert run_cli("run", "kvv", "n=7", *RUN_ARGS).stdout == first.stdout
+    assert built == [(7,)]
+    assert run_cli("run", "kvv", "n=8", *RUN_ARGS).returncode == 0
+    assert built == [(7,), (8,)]
+
+
+def test_the_cached_family_is_dropped_before_another_is_generated(
+        run_cli, monkeypatch):
+    kvv, *kvv_rest = families.FAMILIES["kvv"]
+    bp, *bp_rest = families.FAMILIES["bp"]
+    refs, alive = [], []
+
+    def watched_kvv(*args):
+        pair = kvv(*args)
+        refs.append(weakref.ref(pair[0]))
+        return pair
+
+    def checking_bp(*args):
+        alive.append(refs[0]() is not None)
+        return bp(*args)
+    monkeypatch.setitem(families.FAMILIES, "kvv", (watched_kvv, *kvv_rest))
+    monkeypatch.setitem(families.FAMILIES, "bp", (checking_bp, *bp_rest))
+    assert run_cli("run", "kvv", "n=7", *RUN_ARGS).returncode == 0
+    assert refs[0]() is not None  # held by the cache
+    assert run_cli("run", "bp", "b=2", *RUN_ARGS).returncode == 0
+    assert alive == [False]
+
+
+def test_a_cached_family_is_still_size_checked(run_cli, monkeypatch):
+    built = _record_builds(monkeypatch, "kvv")
+    assert run_cli("run", "kvv", "n=20", *RUN_ARGS).returncode == 0
+    monkeypatch.setattr(graphs, "MAX_EDGES", 200)
+    res = run_cli("run", "kvv", "n=20", *RUN_ARGS)
+    assert res.returncode == 1 and res.stdout == ""
+    assert "210 edges, above the cap of 200" in res.stderr
+    assert built == [(20,)]
 
 
 def test_environment_variable_supplies_the_default_seed(run_cli, monkeypatch):

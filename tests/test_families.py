@@ -1,5 +1,6 @@
 """Instance generators: shapes, degrees, block maps, and optima."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -278,3 +279,11 @@ def test_build_family_takes_integer_parameters_only():
     assert build_family("kvv", {"n": np.int64(3)})[0].n_online == 3
     with pytest.raises(TypeError):
         build_family("kvv", {"n": 2.9})
+
+
+def test_repeated_builds_share_one_frozen_pair():
+    g, desc = build_family("kvv", {"n": 4})
+    again = build_family("kvv", {"n": np.int64(4)})
+    assert again[0] is g and again[1] is desc
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        desc.expected_opt = 5
