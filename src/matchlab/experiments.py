@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -65,8 +64,6 @@ class ExperimentSpec:
     passes: int | None = None  # category-advice pass count
 
     def validate(self) -> None:
-        # raises on a bad family; the graph stays cached for _run_block
-        build_family(self.family, self.family_params)
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; "
                              f"choose from {list(ALGORITHMS)}")
@@ -85,6 +82,8 @@ class ExperimentSpec:
             raise ValueError("pass count applies to category-advice only")
         if self.passes is not None and not 1 <= self.passes <= MAX_PASSES:
             raise ValueError(f"pass count must lie in 1..{MAX_PASSES}")
+        # last, as it may generate the family, which stays cached for _run_block
+        build_family(self.family, self.family_params)
 
     def algorithm_label(self) -> str:
         if self.algorithm == "category-advice":
@@ -169,6 +168,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[TrialRow]:
     if workers == 1:
         triples = _run_block(spec, 0, trials)
     else:
+        # imported only when a pool starts: it is a tenth of `import matchlab.cli`
+        from concurrent.futures import ProcessPoolExecutor
         bounds = np.linspace(0, trials, workers + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_block, spec, int(lo), int(hi))

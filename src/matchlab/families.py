@@ -32,6 +32,13 @@ def fibonacci(i: int) -> int:
     return b
 
 
+def _runs(rows: np.ndarray, *runs) -> np.ndarray:
+    """Row-major (row, start, stop) arrays giving each of `rows` the
+    (start, stop) `runs` in order; the bounds broadcast against `rows`."""
+    bounds = np.stack(np.broadcast_arrays(rows, *(x for run in runs for x in run)), axis=1)
+    return np.vstack([np.repeat(rows, len(runs)), bounds[:, 1:].reshape(-1, 2).T])
+
+
 @dataclass(frozen=True)
 class FamilyDescriptor:
     """Layout metadata of a generated family; frozen, as build_family shares it."""
@@ -68,34 +75,31 @@ def gen_fibonacci_family(k: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
     """
     if not 1 <= k <= 11:
         raise ValueError("k must lie in 1..11 (desk-scale guard)")
-    adj: list[np.ndarray] = [np.array([0, 1]), np.array([0])]
-    top = bot = 0  # sizes of the outermost U1/U2 blocks, set for k >= 2
+    row, start, stop = np.array([[0, 1], [0, 0], [2, 1]])  # u0: v0, v1; u1: v0
     for level in range(1, k):
         a = fibonacci(2 * level + 1)   # side size of the current level
         b = fibonacci(2 * level)
-        v1 = np.arange(a)
-        new_adj: list[np.ndarray] = []
-        for u in range(a):             # U1: complete to V1, copy into V3
-            new_adj.append(np.concatenate([v1, adj[u] + a + b]))
-        for i in range(b):             # U2: complete to V1, parallel to V2
-            new_adj.append(np.concatenate([v1, [a + i]]))
-        for i in range(a):             # U3: parallel to V1
-            new_adj.append(np.array([i]))
-        adj = new_adj
-        top, bot = a, b
+        i, j = np.arange(a), np.arange(b)
+        first = np.searchsorted(row, i)  # each row's first run; every row has one
+        row, start, stop = np.concatenate([
+            # U1: complete to V1, then the copy shifted into V3
+            [np.insert(row, first, i), np.insert(start + a + b, first, 0),
+             np.insert(stop + a + b, first, a)],
+            _runs(a + j, (0, a), (a + j, a + j + 1)),  # U2: V1, parallel to V2
+            _runs(a + b + i, (i, i + 1))], axis=1)     # U3: parallel to V1
     side = fibonacci(2 * k + 1)
-    g = BipartiteGraph.from_rows(side, side, adj)
+    g = BipartiteGraph.from_ranges(side, side, row, start, stop)
     if k == 1:
         on_blocks = {"U": (0, side)}
         off_blocks = {"V": (0, side)}
-    else:
+    else:  # the outermost level's blocks
+        top, bot = fibonacci(2 * k - 1), fibonacci(2 * k - 2)
         on_blocks = {"U1": (0, top), "U2": (top, top + bot), "U3": (top + bot, side)}
         off_blocks = {"V1": (0, top), "V2": (top, top + bot), "V3": (top + bot, side)}
-    desc = FamilyDescriptor(
+    return g, FamilyDescriptor(
         family="fibonacci", params={"k": k},
         online_blocks=on_blocks, offline_blocks=off_blocks,
         expected_opt=side)
-    return g, desc
 
 
 def gen_kvv_triangular(n: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
@@ -106,13 +110,12 @@ def gen_kvv_triangular(n: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    adj = [np.arange(i, n) for i in range(n)]
-    g = BipartiteGraph.from_rows(n, n, adj)
-    desc = FamilyDescriptor(
+    i = np.arange(n)
+    g = BipartiteGraph.from_ranges(n, n, *_runs(i, (i, n)))
+    return g, FamilyDescriptor(
         family="kvv", params={"n": n},
         online_blocks={"U": (0, n)}, offline_blocks={"V": (0, n)},
         expected_opt=n)
-    return g, desc
 
 
 def gen_besser_poloczek(b: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
@@ -129,22 +132,17 @@ def gen_besser_poloczek(b: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
         raise ValueError("b must be at least 2")
     b2 = b * b
     side = 2 * b2 + 2 * b
-    s3 = np.arange(2 * b2, side)
-    adj: list[np.ndarray] = []
-    for i in range(b2):          # S1 online: parallel partner + S3 offline
-        adj.append(np.concatenate([[b2 + i], s3]))
-    for i in range(b2):          # S2 online: parallel partner + own sub-block
-        blk = i // b
-        adj.append(np.concatenate([[i], np.arange(b2 + blk * b, b2 + (blk + 1) * b)]))
-    for j in range(2 * b):       # S3 online: S1 offline + parallel partner
-        adj.append(np.concatenate([np.arange(b2), [2 * b2 + j]]))
-    g = BipartiteGraph.from_rows(side, side, adj)
+    i, j = np.arange(b2), np.arange(2 * b2, side)
+    blk = b2 + i // b * b
+    g = BipartiteGraph.from_ranges(side, side, *np.concatenate([
+        _runs(i, (b2 + i, b2 + i + 1), (2 * b2, side)),  # S1: partner, S3
+        _runs(b2 + i, (i, i + 1), (blk, blk + b)),       # S2: partner, sub-block
+        _runs(j, (0, b2), (j, j + 1))], axis=1))         # S3: S1, partner
     blocks = {"S1": (0, b2), "S2": (b2, 2 * b2), "S3": (2 * b2, side)}
-    desc = FamilyDescriptor(
+    return g, FamilyDescriptor(
         family="besser_poloczek", params={"b": b},
         online_blocks=dict(blocks), offline_blocks=dict(blocks),
         expected_opt=side, extra={"sub_block_size": b})
-    return g, desc
 
 
 def gen_h_graph(n: int, k: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
@@ -156,15 +154,13 @@ def gen_h_graph(n: int, k: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
     """
     if n < 1 or not 0 <= k <= n:
         raise ValueError("need n >= 1 and 0 <= k <= n")
-    hub = np.arange(k)
-    adj = [np.concatenate([hub, [k + i]]) for i in range(n)]
-    g = BipartiteGraph.from_rows(n, k + n, adj)
-    desc = FamilyDescriptor(
+    i = np.arange(n)
+    g = BipartiteGraph.from_ranges(n, k + n, *_runs(i, (0, k), (k + i, k + i + 1)))
+    return g, FamilyDescriptor(
         family="hgraph", params={"n": n, "k": k},
         online_blocks={"U": (0, n)},
         offline_blocks={"V1": (0, k), "V2": (k, k + n)},
         expected_opt=n)
-    return g, desc
 
 
 def gen_goel_mehta(L: int, N: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
@@ -178,15 +174,13 @@ def gen_goel_mehta(L: int, N: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
     if L < 1 or N < 1:
         raise ValueError("L and N must be positive")
     n = L * N
-    adj = [np.arange((u // L) * L, n) for u in range(n)]
-    g = BipartiteGraph.from_rows(n, n, adj)
-    on_blocks = {f"U{j}": ((j - 1) * L, j * L) for j in range(1, N + 1)}
-    off_blocks = {f"V{i}": ((i - 1) * L, i * L) for i in range(1, N + 1)}
-    desc = FamilyDescriptor(
+    u = np.arange(n)
+    g = BipartiteGraph.from_ranges(n, n, *_runs(u, (u // L * L, n)))
+    return g, FamilyDescriptor(
         family="goel_mehta", params={"L": L, "N": N},
-        online_blocks=on_blocks, offline_blocks=off_blocks,
+        online_blocks={f"U{j}": ((j - 1) * L, j * L) for j in range(1, N + 1)},
+        offline_blocks={f"V{i}": ((i - 1) * L, i * L) for i in range(1, N + 1)},
         expected_opt=n)
-    return g, desc
 
 
 def gadget_slack(L: int) -> int:
@@ -219,39 +213,24 @@ def gen_min_degree_hard(L: int, N: int, K: int) -> tuple[BipartiteGraph, FamilyD
     cap = L + slack
     n_online = ln * K + N * L
     n_offline = ln * K + N * cap
-    adj: list[np.ndarray] = []
-    for i in range(K):
-        base = i * ln
-        for u in range(ln):
-            j = u // L  # 0-based copy block
-            adj.append(np.arange(base + j * L, base + ln))
-    gadget_online = []
-    gadget_offline = []
-    for j in range(1, N + 1):
-        start = ln * K + (j - 1) * L
-        gadget_online.append((start, start + L))
-        ostart = ln * K + (j - 1) * cap
-        gadget_offline.append((ostart, ostart + cap))
-        own = np.arange(ostart, ostart + cap)
-        copies = [np.arange(i * ln, i * ln + j * L) for i in range(K)]
-        row = np.concatenate(copies + [own])
-        for _ in range(L):
-            adj.append(row)
-    g = BipartiteGraph.from_rows(n_online, n_offline, adj)
-    desc = FamilyDescriptor(
+    u = np.arange(ln * K)
+    gadget = np.arange(N * L) // L  # 0-based gadget of each gadget row
+    own = ln * K + gadget * cap
+    g = BipartiteGraph.from_ranges(n_online, n_offline, *np.concatenate([
+        _runs(u, (u // L * L, u // ln * ln + ln)),      # copy blocks j..N
+        _runs(ln * K + np.arange(N * L),                # copy blocks 1..j, own
+              *[(i * ln, i * ln + (gadget + 1) * L) for i in range(K)], (own, own + cap))],
+        axis=1))
+    copies = [(i * ln, (i + 1) * ln) for i in range(K)]
+    return g, FamilyDescriptor(
         family="min_degree_hard", params={"L": L, "N": N, "K": K},
         online_blocks={"copies": (0, ln * K), "gadgets": (ln * K, n_online)},
         offline_blocks={"copies": (0, ln * K), "gadgets": (ln * K, n_offline)},
         expected_opt=ln * K + N * L,
-        extra={
-            "slack": slack,
-            "gadget_capacity": cap,
-            "gadget_online": gadget_online,
-            "gadget_offline": gadget_offline,
-            "copy_online": [(i * ln, (i + 1) * ln) for i in range(K)],
-            "copy_offline": [(i * ln, (i + 1) * ln) for i in range(K)],
-        })
-    return g, desc
+        extra={"slack": slack, "gadget_capacity": cap,
+               "gadget_online": [(ln * K + j * L, ln * K + (j + 1) * L) for j in range(N)],
+               "gadget_offline": [(ln * K + j * cap, ln * K + (j + 1) * cap) for j in range(N)],
+               "copy_online": copies, "copy_offline": list(copies)})
 
 
 # family name -> (generator, canonical parameter order, closed-form

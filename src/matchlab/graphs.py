@@ -2,9 +2,10 @@
 
 Graphs are immutable once constructed and stored in compressed sparse row
 form: online vertex u sees offline vertices indices[indptr[u]:indptr[u+1]],
-strictly increasing.  The transposed (CSC) arrays index the offline side
-the same way and are built on first use.  Online vertices are indexed
-0..n_online-1 and offline vertices 0..n_offline-1.
+strictly increasing, for u in 0..n_online-1 and ids in 0..n_offline-1.
+The transposed (CSC) arrays index the offline side the same way and are
+built on first use.  Generated families are written straight into one
+`indices` array from runs of consecutive ids (`from_ranges`).
 
 Two maximum-matching routes are kept deliberately separate: a fast
 Hopcroft-Karp oracle (scipy, imported on first use) used everywhere, and
@@ -41,7 +42,7 @@ class BipartiteGraph:
 
     The arrays are validated and kept without copying, then made
     read-only: the graph owns them.  `from_rows` builds a graph from
-    neighbour lists.
+    neighbour lists and `from_ranges` from runs of consecutive ids.
     """
 
     def __init__(self, n_online: int, n_offline: int, indptr, indices) -> None:
@@ -98,6 +99,25 @@ class BipartiteGraph:
             row_of = np.repeat(np.arange(len(rows)), np.diff(indptr))
             indices = indices[np.lexsort((indices, row_of))]
         return cls(n_online, n_offline, indptr, indices)
+
+    @classmethod
+    def from_ranges(cls, n_online: int, n_offline: int, row, start, stop) -> "BipartiteGraph":
+        """Graph in which row row[r] holds offline ids start[r]..stop[r]-1.
+
+        Runs come in row order; the constructor refuses a row whose runs
+        overlap or descend.  `indices` is one allocation: steps of 1, each
+        run's jump at its first edge, then a running sum in place.
+        """
+        row, start, stop = (np.asarray(a, dtype=np.int64) for a in (row, start, stop))
+        length = stop - start
+        if np.any(length < 0) or np.any(row[1:] < row[:-1]):
+            raise ValueError("runs must have start <= stop and come in row order")
+        ends = np.concatenate(([0], np.cumsum(length)))
+        indptr = ends[np.searchsorted(row, np.arange(n_online + 1))]
+        indices = np.ones(ends[-1], np.int64)
+        ran = length > 0
+        indices[ends[:-1][ran]] = start[ran] - np.concatenate(([1], stop[ran][:-1])) + 1
+        return cls(n_online, n_offline, indptr, np.cumsum(indices, out=indices))
 
     def neighbors(self, u: int) -> np.ndarray:
         """Sorted offline neighbors of online vertex u (read-only view)."""

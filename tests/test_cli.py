@@ -1,5 +1,6 @@
 """Command-line contract: formats, determinism, seeds, exit codes."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -177,6 +178,7 @@ def test_import_and_help_leave_scipy_unimported(args):
                 for line in res.stderr.splitlines() if line.startswith("import time:")]
     assert "matchlab.graphs" in imported
     assert not [m for m in imported if m.partition(".")[0] == "scipy"]
+    assert "concurrent.futures.process" not in imported  # only a pool needs it
 
 
 def test_workers_are_capped_at_trials_and_cpu_count(monkeypatch):
@@ -187,7 +189,7 @@ def test_workers_are_capped_at_trials_and_cpu_count(monkeypatch):
             asked.append(max_workers)
             raise RuntimeError("pool not started")
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     for trials in (100_000, 2):
         spec = ExperimentSpec("kvv", {"n": 2}, "ranking", trials=trials)
@@ -229,6 +231,19 @@ def test_generate_refuses_families_above_the_vertex_cap(monkeypatch, capsys):
     assert built == []  # refused before the generator ran
     assert cli.main(["generate", "hgraph", "n=10", "k=10"]) == 0  # 20 offline
     assert built == [(10, 10)]
+
+
+@pytest.mark.parametrize("args", [
+    ("--algorithm", "mingreedy", "--trials", "0"),
+    ("--algorithm", "mindegree"),
+    ("--algorithm", "minranking", "--tie", "random"),
+    ("--algorithm", "mingreedy", "--k", "2"),
+    ("--algorithm", "category-advice", "--k", "0")])
+def test_usage_errors_exit_before_the_family_is_generated(run_cli, monkeypatch, args):
+    built = _record_builds(monkeypatch, "bp")
+    res = run_cli("run", "bp", "b=100", *args)
+    assert res.returncode == 1 and not res.stdout and res.stderr.count("\n") == 1
+    assert built == []
 
 
 RUN_ARGS = ("--algorithm", "ranking", "--trials", "3", "--seed", "5")

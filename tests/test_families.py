@@ -2,15 +2,16 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from matchlab.families import (FAMILIES, MAX_FIB_INDEX, build_family,
-                               fibonacci, gadget_slack, gen_besser_poloczek,
-                               gen_fibonacci_family, gen_goel_mehta,
-                               gen_h_graph, gen_kvv_triangular,
-                               gen_min_degree_hard)
+from matchlab.families import (FAMILIES, MAX_FIB_INDEX, FamilyDescriptor,
+                               build_family, fibonacci, gadget_slack,
+                               gen_besser_poloczek, gen_fibonacci_family,
+                               gen_goel_mehta, gen_h_graph,
+                               gen_kvv_triangular, gen_min_degree_hard)
 from matchlab.graphs import (MAX_EDGES, MAX_VERTICES, BipartiteGraph,
                              maximum_matching)
 from matchlab.iid import sample_instance, materialize_instance
@@ -287,3 +288,153 @@ def test_repeated_builds_share_one_frozen_pair():
     assert again[0] is g and again[1] is desc
     with pytest.raises(dataclasses.FrozenInstanceError):
         desc.expected_opt = 5
+
+
+# Reference generators: one neighbour array per online vertex, joined by
+# from_rows.  The generators in matchlab.families compute the same rows as
+# runs of consecutive offline ids and must build equal graphs.
+
+def rows_fibonacci_family(k):
+    adj = [np.array([0, 1]), np.array([0])]
+    top = bot = 0
+    for level in range(1, k):
+        a = fibonacci(2 * level + 1)
+        b = fibonacci(2 * level)
+        v1 = np.arange(a)
+        new_adj = []
+        for u in range(a):             # U1: complete to V1, copy into V3
+            new_adj.append(np.concatenate([v1, adj[u] + a + b]))
+        for i in range(b):             # U2: complete to V1, parallel to V2
+            new_adj.append(np.concatenate([v1, [a + i]]))
+        for i in range(a):             # U3: parallel to V1
+            new_adj.append(np.array([i]))
+        adj = new_adj
+        top, bot = a, b
+    side = fibonacci(2 * k + 1)
+    g = BipartiteGraph.from_rows(side, side, adj)
+    if k == 1:
+        on_blocks, off_blocks = {"U": (0, side)}, {"V": (0, side)}
+    else:
+        on_blocks = {"U1": (0, top), "U2": (top, top + bot), "U3": (top + bot, side)}
+        off_blocks = {"V1": (0, top), "V2": (top, top + bot), "V3": (top + bot, side)}
+    return g, FamilyDescriptor(family="fibonacci", params={"k": k},
+                               online_blocks=on_blocks, offline_blocks=off_blocks,
+                               expected_opt=side)
+
+
+def rows_kvv_triangular(n):
+    g = BipartiteGraph.from_rows(n, n, [np.arange(i, n) for i in range(n)])
+    return g, FamilyDescriptor(family="kvv", params={"n": n},
+                               online_blocks={"U": (0, n)},
+                               offline_blocks={"V": (0, n)}, expected_opt=n)
+
+
+def rows_besser_poloczek(b):
+    b2 = b * b
+    side = 2 * b2 + 2 * b
+    s3 = np.arange(2 * b2, side)
+    adj = []
+    for i in range(b2):          # S1 online: parallel partner + S3 offline
+        adj.append(np.concatenate([[b2 + i], s3]))
+    for i in range(b2):          # S2 online: parallel partner + own sub-block
+        blk = i // b
+        adj.append(np.concatenate([[i], np.arange(b2 + blk * b, b2 + (blk + 1) * b)]))
+    for j in range(2 * b):       # S3 online: S1 offline + parallel partner
+        adj.append(np.concatenate([np.arange(b2), [2 * b2 + j]]))
+    g = BipartiteGraph.from_rows(side, side, adj)
+    blocks = {"S1": (0, b2), "S2": (b2, 2 * b2), "S3": (2 * b2, side)}
+    return g, FamilyDescriptor(family="besser_poloczek", params={"b": b},
+                               online_blocks=dict(blocks), offline_blocks=dict(blocks),
+                               expected_opt=side, extra={"sub_block_size": b})
+
+
+def rows_h_graph(n, k):
+    hub = np.arange(k)
+    adj = [np.concatenate([hub, [k + i]]) for i in range(n)]
+    g = BipartiteGraph.from_rows(n, k + n, adj)
+    return g, FamilyDescriptor(family="hgraph", params={"n": n, "k": k},
+                               online_blocks={"U": (0, n)},
+                               offline_blocks={"V1": (0, k), "V2": (k, k + n)},
+                               expected_opt=n)
+
+
+def rows_goel_mehta(L, N):
+    n = L * N
+    g = BipartiteGraph.from_rows(n, n, [np.arange((u // L) * L, n) for u in range(n)])
+    return g, FamilyDescriptor(
+        family="goel_mehta", params={"L": L, "N": N},
+        online_blocks={f"U{j}": ((j - 1) * L, j * L) for j in range(1, N + 1)},
+        offline_blocks={f"V{i}": ((i - 1) * L, i * L) for i in range(1, N + 1)},
+        expected_opt=n)
+
+
+def rows_min_degree_hard(L, N, K):
+    ln = L * N
+    slack = gadget_slack(L)
+    cap = L + slack
+    n_online = ln * K + N * L
+    n_offline = ln * K + N * cap
+    adj = []
+    for i in range(K):
+        base = i * ln
+        for u in range(ln):
+            j = u // L  # 0-based copy block
+            adj.append(np.arange(base + j * L, base + ln))
+    gadget_online = []
+    gadget_offline = []
+    for j in range(1, N + 1):
+        start = ln * K + (j - 1) * L
+        gadget_online.append((start, start + L))
+        ostart = ln * K + (j - 1) * cap
+        gadget_offline.append((ostart, ostart + cap))
+        own = np.arange(ostart, ostart + cap)
+        copies = [np.arange(i * ln, i * ln + j * L) for i in range(K)]
+        row = np.concatenate(copies + [own])
+        for _ in range(L):
+            adj.append(row)
+    g = BipartiteGraph.from_rows(n_online, n_offline, adj)
+    return g, FamilyDescriptor(
+        family="min_degree_hard", params={"L": L, "N": N, "K": K},
+        online_blocks={"copies": (0, ln * K), "gadgets": (ln * K, n_online)},
+        offline_blocks={"copies": (0, ln * K), "gadgets": (ln * K, n_offline)},
+        expected_opt=ln * K + N * L,
+        extra={"slack": slack, "gadget_capacity": cap,
+               "gadget_online": gadget_online, "gadget_offline": gadget_offline,
+               "copy_online": [(i * ln, (i + 1) * ln) for i in range(K)],
+               "copy_offline": [(i * ln, (i + 1) * ln) for i in range(K)]})
+
+
+REFERENCE_CASES = [
+    *[(gen_besser_poloczek, rows_besser_poloczek, (b,)) for b in (2, 3, 4, 5, 6, 25)],
+    *[(gen_kvv_triangular, rows_kvv_triangular, (n,)) for n in (1, 2, 7, 200)],
+    *[(gen_fibonacci_family, rows_fibonacci_family, (k,)) for k in range(1, 10)],
+    *[(gen_h_graph, rows_h_graph, nk) for nk in ((1, 0), (6, 0), (6, 6), (6, 2), (1, 1))],
+    *[(gen_goel_mehta, rows_goel_mehta, LN) for LN in ((1, 1), (1, 7), (7, 1), (20, 20))],
+    *[(gen_min_degree_hard, rows_min_degree_hard, LNK)
+      for LNK in ((1, 1, 1), (2, 2, 2), (3, 4, 1), (10, 10, 20))],
+]
+
+
+@pytest.mark.parametrize("gen,reference,args", REFERENCE_CASES,
+                         ids=lambda x: getattr(x, "__name__", None))
+def test_range_generators_equal_the_row_list_references(gen, reference, args):
+    g, desc = gen(*args)
+    ref_g, ref_desc = reference(*args)
+    assert g == ref_g
+    assert desc.to_dict() == ref_desc.to_dict()
+
+
+@pytest.mark.parametrize("gen,args", [(gen_besser_poloczek, (40,)),
+                                      (gen_kvv_triangular, (1000,)),
+                                      (gen_fibonacci_family, (7,)),
+                                      (gen_min_degree_hard, (10, 10, 20))])
+def test_a_build_peaks_near_the_size_of_its_edge_array(gen, args):
+    # row-list generators held every edge twice while joining their rows
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g, _ = gen(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * g.indices.nbytes

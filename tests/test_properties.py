@@ -54,6 +54,53 @@ def test_from_rows_sorts_shuffled_rows(case):
     assert g.adjacency() == [sorted(r) for r in rows]
 
 
+@st.composite
+def row_runs(draw, max_online=6):
+    """(n_online, n_offline, runs): per row, ascending disjoint (start, stop)
+    runs, which may be empty or touch."""
+    n_online = draw(st.integers(0, max_online))
+    n_offline = draw(st.integers(0, 9))
+    runs = []
+    for _ in range(n_online):
+        cuts = sorted(draw(st.lists(st.integers(0, n_offline), max_size=8)))
+        runs.append(list(zip(cuts[0::2], cuts[1::2])))
+    return n_online, n_offline, runs
+
+
+def _flat_runs(runs):
+    return [[r for r, row in enumerate(runs) for _ in row],
+            [a for row in runs for a, _ in row], [b for row in runs for _, b in row]]
+
+
+@SETTINGS
+@given(row_runs())
+@example((0, 3, []))
+@example((2, 0, [[], [(0, 0)]]))
+@example((3, 7, [[], [(2, 4), (4, 6)], [(1, 1), (3, 7)]]))
+def test_from_ranges_equals_from_rows_of_the_expanded_runs(case):
+    n_online, n_offline, runs = case
+    rows = [[v for a, b in row for v in range(a, b)] for row in runs]
+    g = BipartiteGraph.from_ranges(n_online, n_offline, *_flat_runs(runs))
+    assert g == BipartiteGraph.from_rows(n_online, n_offline, rows)
+    assert g.adjacency() == rows
+
+
+@SETTINGS
+@given(row_runs(), st.data())
+def test_from_ranges_refuses_overlapping_or_descending_runs(case, data):
+    n_online, n_offline, runs = case
+    if n_offline == 0:
+        n_offline, runs = 1, [[]] * n_online
+    a = data.draw(st.integers(0, n_offline - 1))
+    b = data.draw(st.integers(a + 1, n_offline))
+    c = data.draw(st.integers(0, b - 1))  # the second run starts before b
+    d = data.draw(st.integers(c + 1, n_offline))
+    r = data.draw(st.integers(0, n_online))
+    runs = runs[:r] + [[(a, b), (c, d)]] + runs[r:]
+    with pytest.raises(ValueError, match="rows must be sorted"):
+        BipartiteGraph.from_ranges(n_online + 1, n_offline, *_flat_runs(runs))
+
+
 @SETTINGS
 @given(shuffled_rows())
 def test_csc_arrays_are_the_transpose(case):
