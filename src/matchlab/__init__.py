@@ -8,25 +8,23 @@ exact chain analysis behind the degree-driven variants.
 
 from matchlab.graphs import (
     BipartiteGraph,
-    Matching,
     brute_force_maximum_matching,
     graph_from_dict,
     graph_to_dict,
+    matching_size,
     maximum_matching,
-    random_bipartite,
     verify_matching,
 )
 from matchlab.rng import derive_seed, make_rng
 
 __all__ = [
     "BipartiteGraph",
-    "Matching",
     "brute_force_maximum_matching",
     "derive_seed",
     "graph_from_dict",
     "graph_to_dict",
     "make_rng",
+    "matching_size",
     "maximum_matching",
-    "random_bipartite",
     "verify_matching",
 ]

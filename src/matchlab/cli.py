@@ -19,7 +19,7 @@ from matchlab.experiments import (DEFAULT_SEED, ALGORITHMS, REPRODUCTIONS,
                                   ExperimentSpec, reproduce, run_experiment,
                                   summarize_rows)
 from matchlab.families import FAMILIES, TYPE_FAMILIES, build_family, params_label
-from matchlab.graphs import graph_from_dict, graph_to_dict, maximum_matching
+from matchlab.graphs import graph_from_dict, graph_to_dict, matching_size, maximum_matching
 from matchlab.online import TIE_BREAKS
 
 CSV_HEADER = "family,params,algorithm,seed,trial,alg_size,opt_size,ratio"
@@ -99,8 +99,8 @@ def cmd_run(args) -> int:
     if args.format == "csv":
         label = ",".join(str(v) for v in head.values())
         if args.per_trial:
-            lines = [f"{label},{r.trial},{_num(r.alg_size)},"
-                     f"{_num(r.opt_size)},{_num(r.ratio)}" for r in rows]
+            lines = [f"{label},{t},{_num(a)},{_num(o)},{_num(a / o)}"
+                     for t, a, o in rows]
         else:
             lines = [f"{label},summary,{_num(summary['alg_mean'])},"
                      f"{_num(summary['opt_mean'])},{_num(summary['ratio'])}"]
@@ -109,9 +109,8 @@ def cmd_run(args) -> int:
     doc = {"schema": 1, "spec": spec.to_dict(),
            "summary": {**head, "trial": "summary", **summary}}
     if args.per_trial:
-        doc["rows"] = [{**head, "trial": r.trial, "alg_size": r.alg_size,
-                        "opt_size": r.opt_size, "ratio": r.ratio}
-                       for r in rows]
+        doc["rows"] = [{**head, "trial": t, "alg_size": a, "opt_size": o,
+                        "ratio": a / o} for t, a, o in rows]
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 
@@ -131,7 +130,7 @@ def cmd_oracle(args) -> int:
         except RecursionError:
             raise ValueError(f"{args.file}: JSON nested too deeply") from None
     g = graph_from_dict(doc)
-    print(maximum_matching(g).size)
+    print(matching_size(maximum_matching(g)))
     return 0
 
 

@@ -26,7 +26,7 @@ from matchlab.analysis import (FiniteSizeExpectation, expected_bp_sizes,
                                simulate_rhs_empirical, trial_stats)
 from matchlab.families import (TYPE_FAMILIES, build_family, fibonacci,
                                params_label)
-from matchlab.graphs import maximum_matching
+from matchlab.graphs import matching_size, maximum_matching
 from matchlab.iid import (gadget_overflow_count, run_greedy_iid,
                           run_min_degree, sample_instance)
 from matchlab.online import (TIE_BREAKS, run_category_advice, run_greedy,
@@ -100,19 +100,6 @@ class ExperimentSpec:
                 "passes": self.passes}
 
 
-@dataclass
-class TrialRow:
-    """One trial's algorithm and optimum sizes; the CLI adds the labels."""
-
-    trial: int
-    alg_size: float
-    opt_size: float
-
-    @property
-    def ratio(self) -> float:
-        return self.alg_size / self.opt_size
-
-
 def _run_block(spec: ExperimentSpec, lo: int, hi: int) -> list[tuple[int, int, int]]:
     """Trials [lo, hi) of an experiment; returns (trial, alg, opt) triples.
 
@@ -128,30 +115,30 @@ def _run_block(spec: ExperimentSpec, lo: int, hi: int) -> list[tuple[int, int, i
         from matchlab.iid import materialize_instance
         for t in range(lo, hi):
             inst = sample_instance(g, derive_seed(spec.seed, 2 * t))
-            m = run(g, inst, tie_break=tie, seed=derive_seed(spec.seed, 2 * t + 1))
-            opt = maximum_matching(materialize_instance(g, inst)).size
-            out.append((t, m.size, opt))
+            p = run(g, inst, tie_break=tie, seed=derive_seed(spec.seed, 2 * t + 1))
+            opt = matching_size(maximum_matching(materialize_instance(g, inst)))
+            out.append((t, matching_size(p), opt))
         return out
-    opt = maximum_matching(g).size
+    opt = matching_size(maximum_matching(g))
     if alg == "category-advice":
-        m, _ = run_category_advice(g, k=spec.passes or 1)
-        return [(t, m.size, opt) for t in range(lo, hi)]
+        size = run_category_advice(g, k=spec.passes or 1)[1][-1]
+        return [(t, size, opt) for t in range(lo, hi)]
     for t in range(lo, hi):
         ts = derive_seed(spec.seed, t)
         if alg == "ranking":
-            m = run_ranking(g, None, np.argsort(make_rng(ts).permutation(g.n_offline)))
+            p = run_ranking(g, None, np.argsort(make_rng(ts).permutation(g.n_offline)))
         elif alg == "greedy":
-            m = run_greedy(g, tie_break=tie, seed=ts)
+            p = run_greedy(g, tie_break=tie, seed=ts)
         elif alg == "mingreedy":
-            m = run_min_greedy(g, ts)
+            p = run_min_greedy(g, ts)
         else:  # minranking
-            m = run_min_ranking(g, ts)
-        out.append((t, m.size, opt))
+            p = run_min_ranking(g, ts)
+        out.append((t, matching_size(p), opt))
     return out
 
 
-def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[TrialRow]:
-    """All trial rows of an experiment, in trial order.
+def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[tuple[int, int, int]]:
+    """All (trial, alg size, opt size) rows of an experiment, in trial order.
 
     Results are a pure function of `spec`: per-trial seeds are derived
     from (seed, trial index), and worker outputs are merged by index, so
@@ -175,13 +162,13 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[TrialRow]:
             futures = [pool.submit(_run_block, spec, int(lo), int(hi))
                        for lo, hi in zip(bounds[:-1], bounds[1:])]
             triples = [row for f in futures for row in f.result()]
-    return [TrialRow(*triple) for triple in sorted(triples)]
+    return sorted(triples)
 
 
-def summarize_rows(rows: list[TrialRow]) -> dict:
+def summarize_rows(rows: list[tuple[int, int, int]]) -> dict:
     """Aggregate trial rows: means, 95% CIs, and the ratio of means."""
-    alg = trial_stats([r.alg_size for r in rows])
-    opt = trial_stats([r.opt_size for r in rows])
+    alg = trial_stats([a for _, a, _ in rows])
+    opt = trial_stats([o for _, _, o in rows])
     return {"trials": len(rows),
             "alg_mean": alg.mean, "alg_ci": list(alg.ci),
             "opt_mean": opt.mean, "opt_ci": list(opt.ci),
@@ -235,7 +222,7 @@ def reproduce_fibonacci_ratios(seed: int = DEFAULT_SEED,
     for k in range(1, 9):
         g, desc = build_family("fibonacci", {"k": k})
         want = fibonacci(2 * k)
-        opt = maximum_matching(g).size
+        opt = matching_size(maximum_matching(g))
         # pass i depends only on the passes before it, so one (k+2)-pass
         # run holds the k-, (k+1)- and (k+2)-pass sizes
         got, got_p1, got_p2 = run_category_advice(g, k=k + 2)[1][k - 1:]
@@ -314,8 +301,8 @@ def _reproduce_stochastic(name: str, seed: int, workers: int) -> ReproduceResult
     row = STOCHASTIC[name]
     spec = replace(row.spec, seed=seed)
     rows = run_experiment(spec, workers)
-    alg = trial_stats([r.alg_size for r in rows])
-    opt = trial_stats([r.opt_size for r in rows])
+    alg = trial_stats([a for _, a, _ in rows])
+    opt = trial_stats([o for _, _, o in rows])
     exact = row.reckon(**spec.family_params)
     yardstick = opt.mean if row.sampled_opt else exact.opt
     ratio = alg.mean / yardstick

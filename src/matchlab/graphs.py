@@ -7,6 +7,9 @@ The transposed (CSC) arrays index the offline side the same way and are
 built on first use.  Generated families are written straight into one
 `indices` array from runs of consecutive ids (`from_ranges`).
 
+A matching is an int64 partner array over the online side: partner[u] is
+u's offline partner, -1 when u is unmatched.
+
 Two maximum-matching routes are kept deliberately separate: a fast
 Hopcroft-Karp oracle (scipy, imported on first use) used everywhere, and
 an independent exhaustive-search oracle to cross-check it on small ones.
@@ -148,74 +151,43 @@ class BipartiteGraph:
                 f"n_offline={self.n_offline}, n_edges={self.n_edges})")
 
 
-class Matching:
-    """Partial matching with mutual partner maps; -1 means unmatched."""
-
-    def __init__(self, n_online: int, n_offline: int) -> None:
-        self.n_online = n_online
-        self.n_offline = n_offline
-        self.partner_of_online = np.full(n_online, -1, dtype=np.int64)
-        self.partner_of_offline = np.full(n_offline, -1, dtype=np.int64)
-        self.size = 0
-
-    @classmethod
-    def from_partners(cls, partner_of_online: np.ndarray, n_offline: int) -> "Matching":
-        """Matching from each online vertex's distinct partner (-1: none)."""
-        m = cls(partner_of_online.size, n_offline)
-        us = np.flatnonzero(partner_of_online >= 0)
-        m.partner_of_online[us] = partner_of_online[us]
-        m.partner_of_offline[partner_of_online[us]] = us
-        m.size = us.size
-        return m
-
-    def match(self, u: int, v: int) -> None:
-        assert self.partner_of_online[u] == -1 and self.partner_of_offline[v] == -1
-        self.partner_of_online[u] = v
-        self.partner_of_offline[v] = u
-        self.size += 1
-
-    def pairs(self) -> list[tuple[int, int]]:
-        us = np.flatnonzero(self.partner_of_online >= 0)
-        return [(int(u), int(self.partner_of_online[u])) for u in us]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matching):
-            return NotImplemented
-        return (np.array_equal(self.partner_of_online, other.partner_of_online)
-                and np.array_equal(self.partner_of_offline, other.partner_of_offline))
-
-    def __repr__(self) -> str:
-        return f"Matching(size={self.size}, pairs={self.pairs()})"
+def matching_size(partner: np.ndarray) -> int:
+    """Number of matched online vertices in a partner array (-1: unmatched)."""
+    return int(np.count_nonzero(partner >= 0))
 
 
-def verify_matching(g: BipartiteGraph, m: Matching) -> bool:
-    """True iff m is a valid (not necessarily maximal) matching of g."""
-    if m.n_online != g.n_online or m.n_offline != g.n_offline:
+def check_permutation(order, n: int, what: str) -> np.ndarray:
+    """`order` as an int64 array; refused unless a permutation of range(n)."""
+    order = np.asarray(order)
+    if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
+        raise ValueError(f"{what} must be a permutation of range({n})")
+    return order.astype(np.int64)
+
+
+def verify_matching(g: BipartiteGraph, partner: np.ndarray) -> bool:
+    """True iff partner is a matching of g: distinct neighbours, -1 for none."""
+    if partner.shape != (g.n_online,) or partner.dtype.kind not in "iu":
         return False
-    us = np.flatnonzero(m.partner_of_online != -1)
-    vs = m.partner_of_online[us]
-    if (us.size != m.size or np.count_nonzero(m.partner_of_offline >= 0) != m.size
-            or np.any((vs < 0) | (vs >= g.n_offline))):
+    us = np.flatnonzero(partner != -1)
+    vs = partner[us]
+    if np.any((vs < 0) | (vs >= g.n_offline)) or np.unique(vs).size != vs.size:
         return False
-    # partners point back, so both maps hold the same m.size pairs
-    return bool(np.all(m.partner_of_offline[vs] == us)) and all(
-        v in g.neighbors(u) for u, v in zip(us.tolist(), vs.tolist()))
+    return all(v in g.neighbors(u) for u, v in zip(us.tolist(), vs.tolist()))
 
 
-def maximum_matching(g: BipartiteGraph) -> Matching:
-    """Maximum-cardinality matching (Hopcroft-Karp, scipy backend).
+def maximum_matching(g: BipartiteGraph) -> np.ndarray:
+    """Partner array of a maximum-cardinality matching (Hopcroft-Karp, scipy).
 
     Deterministic for a fixed graph: adjacency rows are stored sorted, so
     the CSR handed to the solver is canonical.
     """
-    if g.n_online == 0 or g.n_offline == 0 or g.n_edges == 0:
-        return Matching(g.n_online, g.n_offline)
+    if g.n_edges == 0:
+        return np.full(g.n_online, -1, dtype=np.int64)
     from scipy.sparse.csgraph import maximum_bipartite_matching
-    row_match = maximum_bipartite_matching(g.to_csr(), perm_type="column")
-    return Matching.from_partners(row_match, g.n_offline)
+    return maximum_bipartite_matching(g.to_csr(), perm_type="column").astype(np.int64)
 
 
-def brute_force_maximum_matching(g: BipartiteGraph) -> Matching:
+def brute_force_maximum_matching(g: BipartiteGraph) -> np.ndarray:
     """Exhaustive-search maximum matching, independent of the fast oracle.
 
     Recurses over online vertices trying every free neighbor plus the
@@ -243,7 +215,7 @@ def brute_force_maximum_matching(g: BipartiteGraph) -> Matching:
         memo[key] = r
         return r
 
-    m = Matching(g.n_online, g.n_offline)
+    partner = np.full(n, -1, dtype=np.int64)
     used = 0
     for u in range(n):
         target = best(u, used)
@@ -251,20 +223,10 @@ def brute_force_maximum_matching(g: BipartiteGraph) -> Matching:
             continue
         for v in adj[u]:
             if not used >> v & 1 and 1 + best(u + 1, used | 1 << v) == target:
-                m.match(u, v)
+                partner[u] = v
                 used |= 1 << v
                 break
-    return m
-
-
-def random_bipartite(n_online: int, n_offline: int, p: float,
-                     rng: np.random.Generator) -> BipartiteGraph:
-    """Independent-edge random bipartite graph; test fuzzing utility."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    mask = rng.random((n_online, n_offline)) < p
-    indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
-    return BipartiteGraph(n_online, n_offline, indptr, np.nonzero(mask)[1])
+    return partner
 
 
 def check_size(n_online: int, n_offline: int, n_edges: int) -> None:

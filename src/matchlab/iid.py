@@ -11,7 +11,8 @@ never shrinks as offline vertices are consumed.
 Decision rules are offline priorities for `online.arrival_pass`: a rank
 array under index ties, a chooser under random ties.  The kernel runs
 them over the type rows without materializing the instance; only the
-offline optimum needs the instance as a graph.
+offline optimum needs the instance as a graph.  A run's partner array is
+indexed by arrival position, and arrivals with no active neighbor are lost.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from matchlab.families import FamilyDescriptor
-from matchlab.graphs import BipartiteGraph, Matching
+from matchlab.graphs import BipartiteGraph
 from matchlab.online import arrival_pass, tie_rule
 from matchlab.rng import make_rng
 
@@ -68,27 +69,18 @@ def make_min_degree_rule(g: BipartiteGraph, tie_break: str = "lowest-index",
     return tie_rule(g.n_offline, tie_break, seed, g.offline_degrees)
 
 
-def run_rule(g: BipartiteGraph, draws, rule) -> Matching:
-    """Run a decision rule (rank array or chooser) over an arrival sequence.
-
-    The matching's online side is indexed by arrival position.  Arrivals
-    whose active neighborhood is empty are lost.
-    """
-    return Matching.from_partners(arrival_pass(g, draws, rule), g.n_offline)
-
-
 def run_min_degree(g: BipartiteGraph, inst: InstanceSample,
                    tie_break: str = "lowest-index",
-                   seed: int | None = None) -> Matching:
+                   seed: int | None = None) -> np.ndarray:
     """Match each arrival to an active neighbor of minimum static degree."""
-    return run_rule(g, inst.draws, make_min_degree_rule(g, tie_break, seed))
+    return arrival_pass(g, inst.draws, make_min_degree_rule(g, tie_break, seed))
 
 
 def run_greedy_iid(g: BipartiteGraph, inst: InstanceSample,
                    tie_break: str = "lowest-index",
-                   seed: int | None = None) -> Matching:
+                   seed: int | None = None) -> np.ndarray:
     """Match each arrival to any active neighbor per the tie policy."""
-    return run_rule(g, inst.draws, tie_rule(g.n_offline, tie_break, seed))
+    return arrival_pass(g, inst.draws, tie_rule(g.n_offline, tie_break, seed))
 
 
 @dataclass

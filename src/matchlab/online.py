@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from matchlab.graphs import BipartiteGraph, Matching
+from matchlab.graphs import BipartiteGraph, check_permutation, matching_size
 from matchlab.rng import Draws, make_rng
 
 # Category value meaning "never matched so far"; strictly below every
@@ -92,17 +92,16 @@ def tie_rule(n_offline: int, tie_break: str = "lowest-index",
     return choose
 
 
-def _online_pass(g: BipartiteGraph, arrival: np.ndarray | None, rule) -> Matching:
-    arrival = np.arange(g.n_online) if arrival is None else arrival
-    if len(arrival) != g.n_online:
-        raise ValueError("arrival order size must equal n_online")
-    partner = np.empty(g.n_online, dtype=np.int64)
-    partner[arrival] = arrival_pass(g, arrival, rule)
-    return Matching.from_partners(partner, g.n_offline)
+def _online_pass(g: BipartiteGraph, arrival: np.ndarray | None, rule) -> np.ndarray:
+    """Partner of each online vertex after one pass in `arrival` order."""
+    if arrival is None:
+        return arrival_pass(g, np.arange(g.n_online), rule)
+    arrival = check_permutation(arrival, g.n_online, "arrival order")
+    return arrival_pass(g, arrival, rule)[np.argsort(arrival)]
 
 
 def run_greedy(g: BipartiteGraph, arrival: np.ndarray | None = None,
-               tie_break: str = "lowest-index", seed: int | None = None) -> Matching:
+               tie_break: str = "lowest-index", seed: int | None = None) -> np.ndarray:
     """One greedy pass: match each arrival to a free neighbor if any.
 
     tie_break picks among free neighbors (see TIE_BREAKS); "random" is
@@ -112,7 +111,7 @@ def run_greedy(g: BipartiteGraph, arrival: np.ndarray | None = None,
 
 
 def run_ranking(g: BipartiteGraph, arrival: np.ndarray | None,
-                rank: np.ndarray) -> Matching:
+                rank: np.ndarray) -> np.ndarray:
     """Greedy pass matching each arrival to its free neighbor of least rank.
 
     rank[v] is offline vertex v's key; Ranking draws it as the positions
@@ -125,8 +124,8 @@ def run_ranking(g: BipartiteGraph, arrival: np.ndarray | None,
 
 
 def run_category_advice(g: BipartiteGraph, arrival: np.ndarray | None = None,
-                        k: int = 1) -> tuple[Matching, list[int]]:
-    """k-pass matching with category advice; returns (last pass, sizes).
+                        k: int = 1) -> tuple[np.ndarray, list[int]]:
+    """k-pass matching with category advice; returns (last partners, sizes).
 
     Each pass is one arrival pass whose priority key is the category
     array: CATEGORY_NEG_INF for a vertex never matched, -i for one first
@@ -140,7 +139,8 @@ def run_category_advice(g: BipartiteGraph, arrival: np.ndarray | None = None,
     cat = np.full(g.n_offline, CATEGORY_NEG_INF, dtype=np.int64)
     sizes: list[int] = []
     for i in range(1, k + 1):
-        m = _online_pass(g, arrival, cat)
-        sizes.append(m.size)
-        cat[(cat == CATEGORY_NEG_INF) & (m.partner_of_offline >= 0)] = -i
-    return m, sizes
+        p = _online_pass(g, arrival, cat)
+        sizes.append(matching_size(p))
+        matched = p[p >= 0]
+        cat[matched[cat[matched] == CATEGORY_NEG_INF]] = -i
+    return p, sizes

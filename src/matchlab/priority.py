@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from matchlab.families import FamilyDescriptor
-from matchlab.graphs import BipartiteGraph, Matching
+from matchlab.graphs import BipartiteGraph, check_permutation
 from matchlab.rng import Draws, make_rng
 
 _DEAD = 1 << 40  # sentinel degree for processed online vertices
@@ -32,7 +32,7 @@ class LiveState:
 
 
 def _min_degree_loop(g: BipartiteGraph, rng: np.random.Generator | None,
-                     rank: np.ndarray | None, on_step=None) -> Matching:
+                     rank: np.ndarray | None, on_step=None) -> np.ndarray:
     """Shared loop; the partner is the free neighbor of least `rank`.
 
     rank=None takes a uniform free neighbor instead, one rng draw each.
@@ -84,15 +84,15 @@ def _min_degree_loop(g: BipartiteGraph, rng: np.random.Generator | None,
                 insort(cands, w)
     if draws is not None:
         draws.close()
-    return Matching.from_partners(partner, g.n_offline)
+    return partner
 
 
-def run_min_greedy(g: BipartiteGraph, seed: int, on_step=None) -> Matching:
+def run_min_greedy(g: BipartiteGraph, seed: int, on_step=None) -> np.ndarray:
     """Min-degree selection, uniformly random free partner."""
     return _min_degree_loop(g, make_rng(seed), None, on_step)
 
 
-def run_min_ranking(g: BipartiteGraph, seed: int, on_step=None) -> Matching:
+def run_min_ranking(g: BipartiteGraph, seed: int, on_step=None) -> np.ndarray:
     """Min-degree selection, partner minimizing a random priority list.
 
     The offline priority list is drawn once before the loop; only the
@@ -103,7 +103,7 @@ def run_min_ranking(g: BipartiteGraph, seed: int, on_step=None) -> Matching:
     return _min_degree_loop(g, rng, rank, on_step)
 
 
-def run_min_ranking_fixed(g: BipartiteGraph, rank: np.ndarray, on_step=None) -> Matching:
+def run_min_ranking_fixed(g: BipartiteGraph, rank: np.ndarray, on_step=None) -> np.ndarray:
     """Deterministic variant: given rank (key) array, lowest-index selection.
 
     Lets tests compare against the offline-order twin run for run; on
@@ -116,21 +116,20 @@ def run_min_ranking_fixed(g: BipartiteGraph, rank: np.ndarray, on_step=None) -> 
 
 
 def run_rhs_greedy(g: BipartiteGraph, desc: FamilyDescriptor,
-                   offline_order: np.ndarray) -> tuple[Matching, int]:
+                   offline_order: np.ndarray) -> tuple[np.ndarray, int]:
     """Offline-side pass over a hub-pendant graph.
 
     Receives the offline vertices in the given order and matches each to
     the lowest-index free online vertex among its neighbors (hubs see all
-    of U, pendants only their partner).  Returns the matching and the
-    number of pendant edges used.
+    of U, pendants only their partner).  Returns the partner array and
+    the number of pendant edges used.
     """
     if desc.family != "hgraph":
         raise ValueError("run_rhs_greedy needs hub-pendant shape metadata")
     n, k = desc.params["n"], desc.params["k"]
     if g.n_online != n or g.n_offline != n + k:
         raise ValueError("graph does not match its descriptor")
-    if len(offline_order) != n + k:
-        raise ValueError("offline order size must equal n_offline")
+    offline_order = check_permutation(offline_order, n + k, "offline order")
     nxt = list(range(n + 1))  # nxt[i]: first maybe-alive index >= i
 
     def find(i: int) -> int:
@@ -139,18 +138,18 @@ def run_rhs_greedy(g: BipartiteGraph, desc: FamilyDescriptor,
             i = nxt[i]
         return i
 
-    m = Matching(n, n + k)
+    partner = np.full(n, -1, dtype=np.int64)
     pendant_used = 0
     for v in offline_order.tolist():
         if v < k:
             u = find(0)
             if u < n:
-                m.match(u, v)
+                partner[u] = v
                 nxt[u] = u + 1
         else:
             u = v - k
             if find(u) == u:
-                m.match(u, v)
+                partner[u] = v
                 nxt[u] = u + 1
                 pendant_used += 1
-    return m, pendant_used
+    return partner, pendant_used

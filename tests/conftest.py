@@ -1,8 +1,11 @@
 """Shared pytest plumbing for the acceptance summary block, plus the
 position-dependent and size-dependent control rules for the consistency
-checker, the maximality check of a matching and the CSC neighbour lookup."""
+checker, the maximality check of a matching, the CSC neighbour lookup and
+the independent-edge random graphs the fuzz tests draw."""
 
 import numpy as np
+
+from matchlab.graphs import BipartiteGraph
 
 ACCEPTANCE_LINES: list[tuple[int, str]] = []
 
@@ -47,13 +50,24 @@ def size_parity_chooser(t, avail, pos):
     return int(avail[0]) if avail.size % 2 == 0 else int(avail[-1])
 
 
-def is_maximal(g, m) -> bool:
+def is_maximal(g, partner) -> bool:
     """No unmatched arrival could still be matched to a free neighbor."""
-    return all(m.partner_of_online[u] >= 0
-               or np.all(m.partner_of_offline[g.neighbors(u)] >= 0)
+    taken = np.zeros(g.n_offline, dtype=bool)
+    taken[partner[partner >= 0]] = True
+    return all(partner[u] >= 0 or np.all(taken[g.neighbors(u)])
                for u in range(g.n_online))
 
 
 def offline_neighbors(g, v: int) -> np.ndarray:
     """Sorted online neighbors of offline vertex v, from g's CSC arrays."""
     return g.indices_offline[g.indptr_offline[v]:g.indptr_offline[v + 1]]
+
+
+def random_bipartite(n_online: int, n_offline: int, p: float,
+                     rng: np.random.Generator) -> BipartiteGraph:
+    """Independent-edge random bipartite graph, each edge kept with probability p."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    mask = rng.random((n_online, n_offline)) < p
+    indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
+    return BipartiteGraph(n_online, n_offline, indptr, np.nonzero(mask)[1])

@@ -18,15 +18,14 @@ from matchlab.experiments import reproduce
 from matchlab.families import (build_family, fibonacci, gen_h_graph,
                                gen_kvv_triangular)
 from matchlab.graphs import (BipartiteGraph, brute_force_maximum_matching,
-                             maximum_matching, random_bipartite,
-                             verify_matching)
+                             matching_size, maximum_matching, verify_matching)
 from matchlab.iid import check_consistency, make_min_degree_rule
 from matchlab.online import run_category_advice
 from matchlab.priority import run_min_greedy, run_min_ranking_fixed, \
     run_rhs_greedy
 from matchlab.rng import derive_seed
 
-from conftest import parity_control_chooser, record_criterion
+from conftest import parity_control_chooser, random_bipartite, record_criterion
 
 SEED = 101
 
@@ -61,9 +60,9 @@ def test_criterion_02_multi_pass_lower_bound_on_random_graphs():
         rng = np.random.default_rng(derive_seed(SEED, 500 + i))
         g = random_bipartite(int(rng.integers(1, 41)),
                              int(rng.integers(1, 41)), 0.3, rng)
-        opt = maximum_matching(g).size
-        m, sizes = run_category_advice(g, k=4)
-        ok &= verify_matching(g, m) and m.size == sizes[-1]
+        opt = matching_size(maximum_matching(g))
+        p, sizes = run_category_advice(g, k=4)
+        ok &= verify_matching(g, p) and matching_size(p) == sizes[-1]
         ok &= all(a <= b for a, b in zip(sizes, sizes[1:]))
         for j, size in enumerate(sizes, start=1):
             floor = fibonacci(2 * j) / fibonacci(2 * j + 1) * opt
@@ -103,7 +102,7 @@ def test_criterion_03_random_priority_ratio_on_triangular_family():
 def test_criterion_04_degree_guided_greedy_perfect_on_triangular_family():
     t0 = time.perf_counter()
     g, _ = gen_kvv_triangular(100)
-    sizes = {run_min_greedy(g, derive_seed(SEED, 900 + t)).size
+    sizes = {matching_size(run_min_greedy(g, derive_seed(SEED, 900 + t)))
              for t in range(100)}
     ok = sizes == {100}
     _finish(4, "degree-guided greedy is perfect on triangular n=100", ok,
@@ -137,7 +136,7 @@ def test_criterion_07_pendant_process_equals_fixed_priority_runs():
             for perm in itertools.permutations(range(n + k)):
                 order = np.array(perm)
                 mine, _ = run_rhs_greedy(g, desc, order)
-                ok &= mine == run_min_ranking_fixed(g, np.argsort(order))
+                ok &= np.array_equal(mine, run_min_ranking_fixed(g, np.argsort(order)))
                 checked += 1
     ok &= checked == 23489
     _finish(7, "pendant process equals fixed-priority runs", ok,
@@ -238,7 +237,7 @@ def test_criterion_12_exact_optimum_dual_oracle_agreement():
                              float(rng.uniform(0.05, 0.95)), rng)
         fast = maximum_matching(g)
         slow = brute_force_maximum_matching(g)
-        ok &= fast.size == slow.size
+        ok &= matching_size(fast) == matching_size(slow)
         ok &= verify_matching(g, fast) and verify_matching(g, slow)
     _finish(12, "dual maximum-matching oracles agree", ok,
             "matcher vs exhaustive search on 500 random graphs, exact",

@@ -15,7 +15,7 @@ from matchlab.analysis import (PENDANT_STEP, _sum_below, expected_bp_sizes,
 from matchlab.experiments import STOCHASTIC
 from matchlab.families import (gen_besser_poloczek, gen_goel_mehta,
                                gen_kvv_triangular, gen_min_degree_hard)
-from matchlab.graphs import maximum_matching
+from matchlab.graphs import matching_size, maximum_matching
 from matchlab.iid import (InstanceSample, materialize_instance,
                           run_greedy_iid, run_min_degree)
 from matchlab.online import run_ranking
@@ -198,7 +198,7 @@ def test_finite_size_expectations_at_the_pinned_sizes():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_kvv_chain_equals_ranking_over_all_priority_orders(n):
     g, _ = gen_kvv_triangular(n)
-    sizes = [run_ranking(g, None, np.array(perm)).size
+    sizes = [matching_size(run_ranking(g, None, np.array(perm)))
              for perm in itertools.permutations(range(n))]
     assert abs(expected_kvv_sizes(n).alg - sum(sizes) / len(sizes)) < 1e-12
 
@@ -207,8 +207,8 @@ def test_kvv_chain_equals_ranking_over_all_priority_orders(n):
 def test_staircase_chain_equals_max_index_greedy_over_all_sequences(L, N):
     g, _ = gen_goel_mehta(L, N)
     n = L * N
-    total = sum(run_greedy_iid(g, InstanceSample(np.array(seq)),
-                               tie_break="max-index").size
+    total = sum(matching_size(run_greedy_iid(g, InstanceSample(np.array(seq)),
+                                             tie_break="max-index"))
                 for seq in itertools.product(range(n), repeat=n))
     assert abs(expected_staircase_sizes(L, N).alg - total / n ** n) < 1e-12
 
@@ -240,7 +240,7 @@ def test_two_sided_expectation_matches_the_real_runs(algorithm, run):
     b = 6
     g, _ = gen_besser_poloczek(b)
     exact = expected_bp_sizes(b, algorithm)
-    s = trial_stats([run(g, derive_seed(SEED, t)).size for t in range(400)])
+    s = trial_stats([matching_size(run(g, derive_seed(SEED, t))) for t in range(400)])
     assert abs(s.mean - exact.alg) <= 3 * s.stderr + exact.error
     assert exact.error < 1e-2
 
@@ -265,8 +265,8 @@ def test_padded_expectation_matches_exhaustive_enumeration(L, N, K):
     alg = opt = 0
     for seq in itertools.product(range(n), repeat=n):
         inst = InstanceSample(np.array(seq))
-        alg += run_min_degree(g, inst, tie_break="max-index").size
-        opt += maximum_matching(materialize_instance(g, inst)).size
+        alg += matching_size(run_min_degree(g, inst, tie_break="max-index"))
+        opt += matching_size(maximum_matching(materialize_instance(g, inst)))
     exact = expected_padded_sizes(L, N, K)
     assert exact.error == 0.0
     assert abs(exact.alg - alg / n ** n) < 1e-12

@@ -13,7 +13,7 @@ from matchlab.families import (FAMILIES, MAX_FIB_INDEX, FamilyDescriptor,
                                gen_goel_mehta, gen_h_graph,
                                gen_kvv_triangular, gen_min_degree_hard)
 from matchlab.graphs import (MAX_EDGES, MAX_VERTICES, BipartiteGraph,
-                             maximum_matching)
+                             matching_size, maximum_matching)
 from matchlab.iid import sample_instance, materialize_instance
 from matchlab.rng import derive_seed
 
@@ -42,7 +42,7 @@ def test_fibonacci_values_and_guards():
 def test_fibonacci_family_base_case_is_the_two_by_two_graph():
     g, desc = gen_fibonacci_family(1)
     assert g.adjacency() == [[0, 1], [0]]
-    assert desc.expected_opt == 2 == maximum_matching(g).size
+    assert desc.expected_opt == 2 == matching_size(maximum_matching(g))
 
 
 @pytest.mark.parametrize("k", range(1, 8))
@@ -51,7 +51,7 @@ def test_fibonacci_family_sizes_and_perfect_matching(k):
     side = fibonacci(2 * k + 1)
     assert g.n_online == g.n_offline == side
     assert desc.expected_opt == side
-    assert maximum_matching(g).size == side
+    assert matching_size(maximum_matching(g)) == side
 
 
 @pytest.mark.parametrize("k", range(2, 7))
@@ -96,7 +96,7 @@ def test_kvv_triangular_structure():
     assert g.online_degrees.tolist() == [3, 2, 1]
     assert desc.expected_opt == 3
     big, desc_big = gen_kvv_triangular(200)
-    assert maximum_matching(big).size == 200 == desc_big.expected_opt
+    assert matching_size(maximum_matching(big)) == 200 == desc_big.expected_opt
     with pytest.raises(ValueError):
         gen_kvv_triangular(0)
 
@@ -129,7 +129,7 @@ def test_besser_poloczek_degrees_and_optimum():
     assert set(deg[b2:2 * b2]) == {b + 1}        # S2, the minimum
     assert set(deg[2 * b2:]) == {b2 + 1}         # S3
     assert int(deg.min()) == b + 1
-    assert maximum_matching(g).size == desc.expected_opt == 2 * b2 + 2 * b
+    assert matching_size(maximum_matching(g)) == desc.expected_opt == 2 * b2 + 2 * b
     with pytest.raises(ValueError):
         gen_besser_poloczek(1)
 
@@ -140,7 +140,7 @@ def test_h_graph_shape_and_optimum():
     assert g.adjacency()[0] == [0, 1, 2, 3]
     assert g.adjacency()[4] == [0, 1, 2, 7]
     assert desc.offline_blocks == {"V1": (0, 3), "V2": (3, 8)}
-    assert maximum_matching(g).size == 5
+    assert matching_size(maximum_matching(g)) == 5
     flat, _ = gen_h_graph(3, 0)
     assert flat.adjacency() == [[0], [1], [2]]
     for n, k in ((0, 0), (2, 3), (2, -1)):
@@ -162,7 +162,7 @@ def test_goel_mehta_degree_laws():
     for u in range(L * N):
         j = u // L
         assert g.neighbors(u).tolist() == list(range(j * L, L * N))
-    assert maximum_matching(g).size == desc.expected_opt == L * N
+    assert matching_size(maximum_matching(g)) == desc.expected_opt == L * N
     with pytest.raises(ValueError):
         gen_goel_mehta(0, 3)
 
@@ -188,7 +188,7 @@ def test_min_degree_hard_equalizes_copy_degrees():
     assert g.n_online == ln * K + N * L
     assert g.n_offline == ln * K + N * cap
     assert desc.expected_opt == ln * K + N * L
-    assert maximum_matching(g).size == desc.expected_opt
+    assert matching_size(maximum_matching(g)) == desc.expected_opt
 
 
 def test_min_degree_hard_smallest_case_structure():
@@ -209,7 +209,7 @@ def test_min_degree_hard_sampled_optimum_stays_near_copy_count():
     total = 0
     for t in range(samples):
         inst = sample_instance(g, derive_seed(36151, t))
-        total += maximum_matching(materialize_instance(g, inst)).size
+        total += matching_size(maximum_matching(materialize_instance(g, inst)))
     assert total / samples >= 0.95 * (L * N * K)
 
 

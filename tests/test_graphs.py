@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from matchlab import graphs
-from matchlab.graphs import (BRUTE_FORCE_MAX_ONLINE, BipartiteGraph, Matching,
+from matchlab.graphs import (BRUTE_FORCE_MAX_ONLINE, BipartiteGraph,
                              brute_force_maximum_matching, graph_from_dict,
-                             graph_to_dict, maximum_matching, random_bipartite,
+                             graph_to_dict, matching_size, maximum_matching,
                              verify_matching)
 from matchlab.rng import derive_seed, make_rng
 
-from conftest import offline_neighbors
+from conftest import offline_neighbors, random_bipartite
 
 SEED = 24601
 
@@ -59,9 +59,9 @@ def test_degree_tables_and_edge_queries():
     assert offline_neighbors(g, 1).tolist() == [0, 1]
     assert g.n_edges == 3
     for u, v, edge in [(0, 1, True), (2, 0, False), (1, 2, False)]:
-        m = Matching(3, 3)
-        m.match(u, v)  # partner maps agree, so only the edge is checked
-        assert verify_matching(g, m) == edge
+        partner = np.full(3, -1)
+        partner[u] = v  # one pair, so only the edge is checked
+        assert verify_matching(g, partner) == edge
 
 
 def test_both_side_indexes_agree_on_fuzz_graphs():
@@ -113,29 +113,26 @@ def test_graph_from_dict_refuses_documents_above_the_edge_cap(monkeypatch):
     assert graph_from_dict(doc).n_edges == 3
 
 
-def test_matching_bookkeeping():
-    m = Matching(3, 3)
-    m.match(0, 2)
-    m.match(2, 0)
-    assert m.size == 2
-    assert m.pairs() == [(0, 2), (2, 0)]
-    assert m.partner_of_offline.tolist() == [2, -1, 0]
-    with pytest.raises(AssertionError):
-        m.match(1, 2)  # offline side already taken
+def test_matching_size_counts_matched_online_vertices():
+    assert matching_size(np.array([2, -1, 0])) == 2
+    assert matching_size(np.full(4, -1)) == 0
+    assert matching_size(np.empty(0, dtype=np.int64)) == 0
 
 
-def test_verify_matching_accepts_valid_and_rejects_tampered():
+@pytest.mark.parametrize("partner", [
+    np.array([0, 0]),            # duplicate offline partner
+    np.array([0, 1]),            # (1, 1) is not an edge of g
+    np.array([1, 0, -1]),        # wrong shape
+    np.array([[1, 0]]),          # wrong shape: 2-D
+    np.array([1.0, 0.0]),        # float dtype
+    np.array([1, 2]),            # offline id out of range
+    np.array([-2, 0]),           # negative id other than -1
+])
+def test_verify_matching_rejects_invalid_partner_arrays(partner):
     g = BipartiteGraph.from_rows(2, 2, [[0, 1], [0]])
-    m = Matching(2, 2)
-    m.match(0, 1)
-    m.match(1, 0)
-    assert verify_matching(g, m)
-    m.partner_of_online[1] = 1          # not an edge of g
-    assert not verify_matching(g, m)
-    m.partner_of_online[1] = 0
-    m.partner_of_offline[0] = 0         # partner maps disagree
-    assert not verify_matching(g, m)
-    assert not verify_matching(g, Matching(1, 2))  # wrong shape
+    assert verify_matching(g, np.array([1, 0]))
+    assert verify_matching(g, np.array([-1, 0]))
+    assert not verify_matching(g, partner)
 
 
 def test_maximum_matching_is_valid_and_matches_brute_force():
@@ -145,7 +142,7 @@ def test_maximum_matching_is_valid_and_matches_brute_force():
         assert verify_matching(g, fast)
         slow = brute_force_maximum_matching(g)
         assert verify_matching(g, slow)
-        assert fast.size == slow.size, f"oracles disagree on graph {i}"
+        assert matching_size(fast) == matching_size(slow), f"oracles disagree on graph {i}"
 
 
 def test_brute_force_result_is_itself_a_matching_of_right_size():
@@ -154,7 +151,7 @@ def test_brute_force_result_is_itself_a_matching_of_right_size():
         g = _fuzz_graph(200 + i, max_online=8, max_offline=6, p=0.5)
         m = brute_force_maximum_matching(g)
         assert verify_matching(g, m)
-        assert m.size == maximum_matching(g).size
+        assert matching_size(m) == matching_size(maximum_matching(g))
 
 
 def test_brute_force_size_guard():
@@ -165,12 +162,12 @@ def test_brute_force_size_guard():
 
 def test_empty_and_degenerate_graphs():
     empty = BipartiteGraph.from_rows(0, 3, [])
-    assert maximum_matching(empty).size == 0
-    assert brute_force_maximum_matching(empty).size == 0
+    assert matching_size(maximum_matching(empty)) == 0
+    assert matching_size(brute_force_maximum_matching(empty)) == 0
     no_edges = BipartiteGraph.from_rows(3, 3, [[], [], []])
-    assert maximum_matching(no_edges).size == 0
+    assert matching_size(maximum_matching(no_edges)) == 0
     single = BipartiteGraph.from_rows(1, 1, [[0]])
-    assert maximum_matching(single).size == 1
+    assert matching_size(maximum_matching(single)) == 1
 
 
 def test_random_bipartite_is_seed_deterministic():

@@ -6,13 +6,13 @@ import pytest
 from matchlab.analysis import trial_stats
 from matchlab.experiments import ExperimentSpec, run_experiment
 from matchlab.families import fibonacci, gen_fibonacci_family
-from matchlab.graphs import (BipartiteGraph, Matching, maximum_matching,
-                             random_bipartite, verify_matching)
+from matchlab.graphs import (BipartiteGraph, matching_size, maximum_matching,
+                             verify_matching)
 from matchlab.online import (TIE_BREAKS, run_category_advice, run_greedy,
                              run_ranking)
 from matchlab.rng import derive_seed, make_rng
 
-from conftest import is_maximal
+from conftest import is_maximal, random_bipartite
 
 SEED = 90125
 
@@ -23,30 +23,27 @@ def _base_case():
 
 
 def test_greedy_lowest_index_blocks_the_base_case():
-    m = run_greedy(_base_case())
-    assert m.size == 1
-    assert m.pairs() == [(0, 0)]
+    assert run_greedy(_base_case()).tolist() == [0, -1]
 
 
 def test_greedy_on_bicliques_is_perfect():
     n = 9
     g = BipartiteGraph.from_rows(n, n, [list(range(n))] * n)
     for tie in ("lowest-index", "max-index"):
-        assert run_greedy(g, tie_break=tie).size == n
+        assert matching_size(run_greedy(g, tie_break=tie)) == n
 
 
 def test_greedy_path_case_matches_both():
     g = BipartiteGraph.from_rows(2, 2, [[0], [0, 1]])
-    m = run_greedy(g)
-    assert m.size == 2 and m.pairs() == [(0, 0), (1, 1)]
+    assert run_greedy(g).tolist() == [0, 1]
 
 
 def test_greedy_tie_rules_and_validation():
     g = BipartiteGraph.from_rows(1, 3, [[0, 1, 2]])
-    assert run_greedy(g, tie_break="lowest-index").pairs() == [(0, 0)]
-    assert run_greedy(g, tie_break="max-index").pairs() == [(0, 2)]
+    assert run_greedy(g, tie_break="lowest-index").tolist() == [0]
+    assert run_greedy(g, tie_break="max-index").tolist() == [2]
     rank = np.array([2, 0, 1])   # vertex 1 carries the best rank
-    assert run_ranking(g, None, rank).pairs() == [(0, 1)]
+    assert run_ranking(g, None, rank).tolist() == [1]
     with pytest.raises(ValueError):
         run_greedy(g, np.arange(2))              # arrival order of wrong size
     with pytest.raises(ValueError):
@@ -55,15 +52,24 @@ def test_greedy_tie_rules_and_validation():
         run_greedy(g, tie_break="offline-rank")  # ranking is run_ranking
     with pytest.raises(ValueError):
         run_greedy(g, tie_break="coin-flip")
-    m = run_greedy(g, tie_break="random", seed=5)
-    assert m == run_greedy(g, tie_break="random", seed=5)
+    p = run_greedy(g, tie_break="random", seed=5)
+    assert np.array_equal(p, run_greedy(g, tie_break="random", seed=5))
     assert TIE_BREAKS == ("lowest-index", "max-index", "random")
+
+
+@pytest.mark.parametrize("arrival", [[0, 0], [1, 1], [-1, 0], [0, 5]])
+def test_arrival_orders_must_be_permutations(arrival):
+    g = BipartiteGraph.from_rows(2, 3, [[0, 1], [2]])
+    for run in (run_greedy, lambda g, a: run_category_advice(g, a, k=2),
+                lambda g, a: run_ranking(g, a, np.arange(3))):
+        with pytest.raises(ValueError, match="permutation of range"):
+            run(g, np.array(arrival))
 
 
 def test_ranking_priority_order_decides_the_base_case():
     g = _base_case()
-    assert run_ranking(g, None, np.arange(2)).size == 1
-    assert run_ranking(g, None, np.array([1, 0])).size == 2
+    assert matching_size(run_ranking(g, None, np.arange(2))) == 1
+    assert matching_size(run_ranking(g, None, np.array([1, 0]))) == 2
     with pytest.raises(ValueError):
         run_ranking(g, None, np.arange(3))
 
@@ -83,7 +89,7 @@ def test_ranking_output_is_always_a_maximal_matching():
 def _ranking_sizes(family, params, trials, seed):
     rows = run_experiment(ExperimentSpec(family, params, "ranking",
                                          trials=trials, seed=seed))
-    return trial_stats([r.alg_size for r in rows])
+    return trial_stats([alg for _, alg, _ in rows])
 
 
 def test_ranking_random_two_vertex_expectation():
@@ -105,8 +111,8 @@ def test_ranking_random_is_exact_on_bicliques_and_deterministic():
 
 def test_multi_pass_base_case_sizes():
     g = _base_case()
-    m1, sizes1 = run_category_advice(g, k=1)
-    assert sizes1 == [1] and m1.size == 1
+    p1, sizes1 = run_category_advice(g, k=1)
+    assert sizes1 == [1] and p1.tolist() == [0, -1]
     _, sizes2 = run_category_advice(g, k=2)
     assert sizes2 == [1, 2]
     with pytest.raises(ValueError):
@@ -137,7 +143,7 @@ def test_multi_pass_meets_the_per_k_fraction_of_optimum():
         rng = make_rng(derive_seed(SEED, 500 + i))
         g = random_bipartite(int(rng.integers(1, 24)), int(rng.integers(1, 24)),
                              0.3, rng)
-        opt = maximum_matching(g).size
+        opt = matching_size(maximum_matching(g))
         _, sizes = run_category_advice(g, k=4)
         for k, got in enumerate(sizes, start=1):
             bound = fibonacci(2 * k) / fibonacci(2 * k + 1) * opt
@@ -150,7 +156,7 @@ def test_multi_pass_replay_is_deterministic():
     arrival = make_rng(4).permutation(15)
     a, sa = run_category_advice(g, arrival, k=3)
     b, sb = run_category_advice(g, arrival, k=3)
-    assert a == b and sa == sb
+    assert np.array_equal(a, b) and sa == sb
 
 
 def test_extra_passes_after_stabilization_keep_the_size():

@@ -7,12 +7,12 @@ import pytest
 
 from matchlab import priority
 from matchlab.families import gen_h_graph, gen_kvv_triangular
-from matchlab.graphs import BipartiteGraph, random_bipartite, verify_matching
+from matchlab.graphs import BipartiteGraph, matching_size, verify_matching
 from matchlab.priority import (run_min_greedy, run_min_ranking,
                                run_min_ranking_fixed, run_rhs_greedy)
 from matchlab.rng import derive_seed, make_rng
 
-from conftest import is_maximal
+from conftest import is_maximal, random_bipartite
 
 SEED = 55511
 
@@ -20,7 +20,7 @@ SEED = 55511
 def test_min_greedy_perfect_on_triangular_graphs():
     g, _ = gen_kvv_triangular(60)
     for s in range(20):
-        assert run_min_greedy(g, derive_seed(SEED, s)).size == 60
+        assert matching_size(run_min_greedy(g, derive_seed(SEED, s))) == 60
 
 
 def test_min_ranking_perfect_on_triangular_graphs():
@@ -28,17 +28,17 @@ def test_min_ranking_perfect_on_triangular_graphs():
     # front with a single free neighbor, so the priority list never hurts
     g, _ = gen_kvv_triangular(40)
     for s in range(20):
-        assert run_min_ranking(g, derive_seed(SEED, 100 + s)).size == 40
+        assert matching_size(run_min_ranking(g, derive_seed(SEED, 100 + s))) == 40
 
 
 def test_min_algorithms_trivial_cases():
     single = BipartiteGraph.from_rows(1, 1, [[0]])
-    assert run_min_greedy(single, 0).size == 1
-    assert run_min_ranking(single, 0).size == 1
+    assert matching_size(run_min_greedy(single, 0)) == 1
+    assert matching_size(run_min_ranking(single, 0)) == 1
     n = 7
     biclique = BipartiteGraph.from_rows(n, n, [list(range(n))] * n)
-    assert run_min_greedy(biclique, 3).size == n
-    assert run_min_ranking(biclique, 3).size == n
+    assert matching_size(run_min_greedy(biclique, 3)) == n
+    assert matching_size(run_min_ranking(biclique, 3)) == n
 
 
 def test_min_algorithms_are_valid_maximal_and_deterministic():
@@ -50,7 +50,7 @@ def test_min_algorithms_are_valid_maximal_and_deterministic():
             m = run(g, derive_seed(SEED, i))
             assert verify_matching(g, m)
             assert is_maximal(g, m)
-            assert m == run(g, derive_seed(SEED, i))
+            assert np.array_equal(m, run(g, derive_seed(SEED, i)))
 
 
 def test_min_degree_loop_needs_an_rng_or_a_rank():
@@ -61,10 +61,10 @@ def test_min_degree_loop_needs_an_rng_or_a_rank():
 def test_isolated_vertices_consume_iterations_but_never_match():
     g = BipartiteGraph.from_rows(3, 2, [[0], [], [0, 1]])
     states = []
-    m = run_min_greedy(g, 12, on_step=states.append)
+    p = run_min_greedy(g, 12, on_step=states.append)
     assert len(states) == g.n_online      # one selection per online vertex
-    assert m.partner_of_online[1] == -1
-    assert m.size == 2
+    assert p[1] == -1
+    assert matching_size(p) == 2
 
 
 def _alive_online_mask(state):
@@ -111,14 +111,14 @@ def test_alive_degrees_stay_equal_on_hub_pendant_graphs():
 
 def test_offline_pass_hand_cases():
     g, desc = gen_h_graph(1, 1)
-    m, pendants = run_rhs_greedy(g, desc, np.array([1, 0]))  # pendant first
-    assert pendants == 1 and m.pairs() == [(0, 1)]
-    m, pendants = run_rhs_greedy(g, desc, np.array([0, 1]))  # hub first
-    assert pendants == 0 and m.pairs() == [(0, 0)]
+    p, pendants = run_rhs_greedy(g, desc, np.array([1, 0]))  # pendant first
+    assert pendants == 1 and p.tolist() == [1]
+    p, pendants = run_rhs_greedy(g, desc, np.array([0, 1]))  # hub first
+    assert pendants == 0 and p.tolist() == [0]
 
     g3, desc3 = gen_h_graph(3, 0)
-    m, pendants = run_rhs_greedy(g3, desc3, np.array([2, 0, 1]))
-    assert pendants == 3 and m.size == 3
+    p, pendants = run_rhs_greedy(g3, desc3, np.array([2, 0, 1]))
+    assert pendants == 3 and p.tolist() == [0, 1, 2]
 
 
 def test_offline_pass_pendant_count_matches_the_matching():
@@ -128,9 +128,9 @@ def test_offline_pass_pendant_count_matches_the_matching():
         k = int(rng.integers(0, n + 1))
         g, desc = gen_h_graph(n, k)
         order = rng.permutation(n + k)
-        m, pendants = run_rhs_greedy(g, desc, order)
-        assert verify_matching(g, m)
-        assert pendants == sum(1 for _, v in m.pairs() if v >= k)
+        p, pendants = run_rhs_greedy(g, desc, order)
+        assert verify_matching(g, p)
+        assert pendants == np.count_nonzero(p >= k)
 
 
 def test_offline_pass_rejects_wrong_shape_or_order():
@@ -140,6 +140,10 @@ def test_offline_pass_rejects_wrong_shape_or_order():
     h, hdesc = gen_h_graph(2, 1)
     with pytest.raises(ValueError):
         run_rhs_greedy(h, hdesc, np.arange(2))  # wrong length
+    g3, desc3 = gen_h_graph(3, 1)
+    for order in ([0, 0, 1, 2], [0, 1, 2, 7]):  # repeated vertex, id out of range
+        with pytest.raises(ValueError, match="offline order must be a permutation"):
+            run_rhs_greedy(g3, desc3, np.array(order))
 
 
 def test_offline_pass_equals_fixed_priority_run_on_small_graphs():
@@ -152,7 +156,7 @@ def test_offline_pass_equals_fixed_priority_run_on_small_graphs():
                 order = np.array(perm)
                 twin = run_min_ranking_fixed(g, np.argsort(order))
                 mine, _ = run_rhs_greedy(g, desc, order)
-                assert mine == twin, (n, k, perm)
+                assert np.array_equal(mine, twin), (n, k, perm)
 
 
 def test_fixed_priority_run_validates_input():

@@ -17,11 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchlab import online, priority
-from matchlab.graphs import (BipartiteGraph, Matching, graph_from_dict,
-                             graph_to_dict, maximum_matching, verify_matching)
+from matchlab.graphs import (BipartiteGraph, brute_force_maximum_matching,
+                             graph_from_dict, graph_to_dict, matching_size,
+                             maximum_matching, verify_matching)
 from matchlab.iid import (check_consistency, make_min_degree_rule,
                           materialize_instance, run_greedy_iid,
-                          run_min_degree, run_rule, sample_instance)
+                          run_min_degree, sample_instance)
 from matchlab.online import (TIE_BREAKS, arrival_pass, run_category_advice,
                              run_greedy, run_ranking, tie_rule)
 from matchlab.priority import (LiveState, run_min_greedy, run_min_ranking,
@@ -141,8 +142,29 @@ def test_every_chooser_yields_a_maximal_matching(case, random, seed):
         for tie in TIE_BREAKS:
             for rule in (tie_rule(g.n_offline, tie, seed),
                          make_min_degree_rule(g, tie, seed)):
-                m = run_rule(g, inst.draws, rule)
-                assert verify_matching(gi, m) and is_maximal(gi, m)
+                p = arrival_pass(g, inst.draws, rule)
+                assert verify_matching(gi, p) and is_maximal(gi, p)
+
+
+@SETTINGS
+@given(shuffled_rows(), st.randoms(use_true_random=False), st.integers(0, 2 ** 32))
+def test_every_runner_returns_a_valid_partner_array(case, random, seed):
+    g = BipartiteGraph.from_rows(*case)
+    arrival, rank = _shuffled(random, g.n_online), _shuffled(random, g.n_offline)
+    results = [(g, run_greedy(g, arrival, "random", seed)),
+               (g, run_ranking(g, arrival, rank)),
+               (g, run_category_advice(g, arrival, 3)[0]),
+               (g, run_min_greedy(g, seed)), (g, run_min_ranking(g, seed)),
+               (g, run_min_ranking_fixed(g, rank)),
+               (g, maximum_matching(g)), (g, brute_force_maximum_matching(g))]
+    if g.n_online:  # IID partners are indexed by arrival position
+        inst = sample_instance(g, seed)
+        gi = materialize_instance(g, inst)
+        results += [(gi, run_min_degree(g, inst, "random", seed)),
+                    (gi, run_greedy_iid(g, inst, "max-index"))]
+    for h, p in results:
+        assert p.dtype == np.int64 and p.shape == (h.n_online,)
+        assert verify_matching(h, p)
 
 
 def _shuffled(random, n):
@@ -187,18 +209,18 @@ def test_rank_pass_matches_the_chooser_reference(case, seed):
     rank = np.argsort(rng.permutation(g.n_offline))
     ref = np.full(g.n_online, -1, dtype=np.int64)
     ref[arrival] = _chooser_pass(g, arrival.tolist(), _least_rank(rank))
-    assert np.array_equal(run_ranking(g, arrival, rank).partner_of_online, ref)
+    assert np.array_equal(run_ranking(g, arrival, rank), ref)
     for tie, end in (("lowest-index", 0), ("max-index", -1)):
         ref[arrival] = _chooser_pass(g, arrival.tolist(),
                                      lambda r, avail, pos: avail[end])
-        assert np.array_equal(run_greedy(g, arrival, tie).partner_of_online, ref)
+        assert np.array_equal(run_greedy(g, arrival, tie), ref)
         if g.n_online:
             inst = sample_instance(g, seed)
             rows = inst.draws.tolist()
             for run, degree in ((run_greedy_iid, np.zeros(g.n_offline, np.int64)),
                                 (run_min_degree, g.offline_degrees)):
                 want = _chooser_pass(g, rows, _least_degree(degree, end))
-                assert np.array_equal(run(g, inst, tie).partner_of_online, want)
+                assert np.array_equal(run(g, inst, tie), want)
     for k in (1, 2, 3):
         _, sizes = run_category_advice(g, arrival, k)
         with mock.patch.object(online, "arrival_pass", lambda g, rows, rank:
@@ -222,10 +244,12 @@ def _refined_sigma_advice(g, arrival, k):
     cat = np.full(g.n_offline, online.CATEGORY_NEG_INF, dtype=np.int64)
     sizes = []
     for i in range(1, k + 1):
-        m = run_ranking(g, arrival, refine_sigma(np.arange(g.n_offline), cat))
-        sizes.append(m.size)
-        cat[(cat == online.CATEGORY_NEG_INF) & (m.partner_of_offline >= 0)] = -i
-    return m, sizes
+        p = run_ranking(g, arrival, refine_sigma(np.arange(g.n_offline), cat))
+        sizes.append(matching_size(p))
+        taken = np.zeros(g.n_offline, dtype=bool)
+        taken[p[p >= 0]] = True
+        cat[(cat == online.CATEGORY_NEG_INF) & taken] = -i
+    return p, sizes
 
 
 @SETTINGS
@@ -235,16 +259,16 @@ def test_category_advice_matches_ranking_under_refined_sigma(case, seed):
     g = BipartiteGraph.from_rows(*case)
     for arrival in (None, make_rng(seed).permutation(g.n_online)):
         for k in range(1, 5):
-            m, sizes = run_category_advice(g, arrival, k)
-            ref_m, ref_sizes = _refined_sigma_advice(g, arrival, k)
-            assert m == ref_m and sizes == ref_sizes
+            p, sizes = run_category_advice(g, arrival, k)
+            ref_p, ref_sizes = _refined_sigma_advice(g, arrival, k)
+            assert np.array_equal(p, ref_p) and sizes == ref_sizes
 
 
 def _full_scan_min_degree_loop(g, rng, rank, on_step=None):
     """Reference min-degree loop: scans every degree at every step."""
     curdeg = g.online_degrees.astype(np.int64).copy()
     alive_v = np.ones(g.n_offline, dtype=bool)
-    m = Matching(g.n_online, g.n_offline)
+    partner = np.full(g.n_online, -1, dtype=np.int64)
     for step in range(g.n_online):
         if on_step is not None:
             on_step(LiveState(step, curdeg, alive_v))
@@ -261,15 +285,15 @@ def _full_scan_min_degree_loop(g, rng, rank, on_step=None):
         f = nb[alive_v[nb]]
         assert f.size == d
         v = int(f[rng.integers(f.size)] if rank is None else f[np.argmin(rank[f])])
-        m.match(u, v)
+        partner[u] = v
         alive_v[v] = False
         curdeg[u] = priority._DEAD
         curdeg[offline_neighbors(g, v)] -= 1
-    return m
+    return partner
 
 
 def _traced_min_degree_run(run, loop):
-    """(matching, curdeg snapshots, final generator states) of run(on_step)."""
+    """(partners, curdeg snapshots, final generator states) of run(on_step)."""
     rngs, snapshots = [], []
 
     def recording_make_rng(seed):
@@ -278,8 +302,8 @@ def _traced_min_degree_run(run, loop):
 
     with mock.patch.object(priority, "_min_degree_loop", loop), \
             mock.patch.object(priority, "make_rng", recording_make_rng):
-        m = run(lambda state: snapshots.append(state.curdeg.copy()))
-    return m, snapshots, [r.bit_generator.state for r in rngs]
+        p = run(lambda state: snapshots.append(state.curdeg.copy()))
+    return p, snapshots, [r.bit_generator.state for r in rngs]
 
 
 @SETTINGS
@@ -290,10 +314,10 @@ def test_min_degree_loop_matches_the_full_scan_reference(case, random, seed):
     for run in (lambda step: run_min_greedy(g, seed, step),
                 lambda step: run_min_ranking(g, seed, step),
                 lambda step: run_min_ranking_fixed(g, rank, step)):
-        m, snaps, states = _traced_min_degree_run(run, priority._min_degree_loop)
-        ref_m, ref_snaps, ref_states = _traced_min_degree_run(
+        p, snaps, states = _traced_min_degree_run(run, priority._min_degree_loop)
+        ref_p, ref_snaps, ref_states = _traced_min_degree_run(
             run, _full_scan_min_degree_loop)
-        assert m == ref_m and verify_matching(g, m)
+        assert np.array_equal(p, ref_p) and verify_matching(g, p)
         assert len(snaps) == len(ref_snaps) == g.n_online
         assert all(np.array_equal(a, b) for a, b in zip(snaps, ref_snaps))
         assert states == ref_states
@@ -367,15 +391,13 @@ def test_random_tie_rules_match_the_scalar_draw_reference(case, seed):
     arrival = make_rng(seed).permutation(g.n_online)
     want = np.full(g.n_online, -1, dtype=np.int64)
     want[arrival] = arrival_pass(g, arrival, _scalar_random_rule(g.n_offline, seed))
-    assert np.array_equal(run_greedy(g, arrival, "random", seed).partner_of_online,
-                          want)
+    assert np.array_equal(run_greedy(g, arrival, "random", seed), want)
     if g.n_online:
-        rows = sample_instance(g, seed).draws
-        for degree in (None, g.offline_degrees):
-            ref = arrival_pass(g, rows, _scalar_random_rule(g.n_offline, seed, degree))
-            rule = (tie_rule(g.n_offline, "random", seed) if degree is None
-                    else make_min_degree_rule(g, "random", seed))
-            assert np.array_equal(run_rule(g, rows, rule).partner_of_online, ref)
+        inst = sample_instance(g, seed)
+        for run, degree in ((run_greedy_iid, None), (run_min_degree, g.offline_degrees)):
+            ref = arrival_pass(g, inst.draws,
+                               _scalar_random_rule(g.n_offline, seed, degree))
+            assert np.array_equal(run(g, inst, "random", seed), ref)
 
 
 def _enumerated_consistency(g, rule):
