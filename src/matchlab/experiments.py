@@ -19,10 +19,10 @@ from functools import partial
 
 import numpy as np
 
-from matchlab.analysis import (FiniteSizeExpectation, expected_bp_sizes,
-                               expected_kvv_sizes, expected_padded_sizes,
-                               expected_staircase_sizes, expected_y_exact,
-                               ode_root, simulate_chain,
+from matchlab.analysis import (FiniteSizeExpectation, TrialStats,
+                               expected_bp_sizes, expected_kvv_sizes,
+                               expected_padded_sizes, expected_staircase_sizes,
+                               expected_y_exact, ode_root, simulate_chain,
                                simulate_rhs_empirical, trial_stats)
 from matchlab.families import (TYPE_FAMILIES, build_family, fibonacci,
                                params_label)
@@ -167,9 +167,13 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[tuple[int, in
 
 def summarize_rows(rows: list[tuple[int, int, int]]) -> dict:
     """Aggregate trial rows: means, 95% CIs, and the ratio of means."""
-    alg = trial_stats([a for _, a, _ in rows])
-    opt = trial_stats([o for _, _, o in rows])
-    return {"trials": len(rows),
+    return _summary(trial_stats([a for _, a, _ in rows]),
+                    trial_stats([o for _, _, o in rows]))
+
+
+def _summary(alg: TrialStats, opt: TrialStats) -> dict:
+    """`summarize_rows`'s dict from the statistics of both sizes."""
+    return {"trials": alg.count,
             "alg_mean": alg.mean, "alg_ci": list(alg.ci),
             "opt_mean": opt.mean, "opt_ci": list(opt.ci),
             "ratio": alg.mean / opt.mean}
@@ -306,7 +310,7 @@ def _reproduce_stochastic(name: str, seed: int, workers: int) -> ReproduceResult
     exact = row.reckon(**spec.family_params)
     yardstick = opt.mean if row.sampled_opt else exact.opt
     ratio = alg.mean / yardstick
-    values = {**summarize_rows(rows), "ratio": ratio, "alg_stderr": alg.stderr,
+    values = {**_summary(alg, opt), "ratio": ratio, "alg_stderr": alg.stderr,
               "opt_stderr": opt.stderr, "exact_alg": exact.alg,
               "exact_opt": exact.opt, "exact_ratio": exact.ratio}
     at = partial(params_label, spec.family)

@@ -8,9 +8,10 @@ still-active offline candidates.  The degree used by the minimum-degree
 rule is the type graph's `offline_degrees`, fixed before any arrival: it
 never shrinks as offline vertices are consumed.
 
-Decision rules are offline priorities for `online.arrival_pass`: a rank
-array under index ties, a chooser under random ties.  The kernel runs
-them over the type rows without materializing the instance; only the
+Decision rules are offline priorities for `online.arrival_pass`: the
+(key, draws) pair of `online.tie_rule`, a rank array under index ties
+and the degree key with a draw stream under random ties.  The kernel
+runs them over the type rows without materializing the instance; only the
 offline optimum needs the instance as a graph.  A run's partner array is
 indexed by arrival position, and arrivals with no active neighbor are lost.
 """
@@ -58,29 +59,24 @@ def materialize_instance(g: BipartiteGraph, inst: InstanceSample) -> BipartiteGr
     return BipartiteGraph(draws.size, g.n_offline, indptr, g.indices[gather])
 
 
-def make_min_degree_rule(g: BipartiteGraph, tie_break: str = "lowest-index",
-                         seed: int | None = None):
-    """Decision rule: active neighbor of minimum static degree.
-
-    Ties are broken by index ("max-index" realizes the adversarial
-    largest-block rule under the generators' ascending block layout),
-    which makes the rule a rank array, or uniformly at random.
-    """
-    return tie_rule(g.n_offline, tie_break, seed, g.offline_degrees)
-
-
 def run_min_degree(g: BipartiteGraph, inst: InstanceSample,
                    tie_break: str = "lowest-index",
                    seed: int | None = None) -> np.ndarray:
-    """Match each arrival to an active neighbor of minimum static degree."""
-    return arrival_pass(g, inst.draws, make_min_degree_rule(g, tie_break, seed))
+    """Match each arrival to an active neighbor of minimum static degree.
+
+    Ties are broken by index ("max-index" realizes the adversarial
+    largest-block rule under the generators' ascending block layout) or
+    uniformly at random.
+    """
+    return arrival_pass(g, inst.draws,
+                        *tie_rule(g.n_offline, tie_break, seed, g.offline_degrees))
 
 
 def run_greedy_iid(g: BipartiteGraph, inst: InstanceSample,
                    tie_break: str = "lowest-index",
                    seed: int | None = None) -> np.ndarray:
     """Match each arrival to any active neighbor per the tie policy."""
-    return arrival_pass(g, inst.draws, tie_rule(g.n_offline, tie_break, seed))
+    return arrival_pass(g, inst.draws, *tie_rule(g.n_offline, tie_break, seed))
 
 
 @dataclass
@@ -106,9 +102,12 @@ def check_consistency(g: BipartiteGraph, rule) -> ConsistencyReport:
     in ascending order.  A rule is consistent when the choice is a function
     of (type, available set) alone and shrinking the available set around
     a kept choice does not change it; both are checked over all context
-    pairs.  `rule` is a priority or a stateless chooser, given `avail`
-    sorted; a priority (int64 keys) takes the available vertex of least
-    key, lowest index first.  Refused past CONSISTENCY_MAX_STATES states.
+    pairs.  `rule` is a priority (an int64 key array), which takes the
+    available vertex of least key, lowest index first, or a chooser: a
+    stateless callable rule(type, avail, pos) returning one vertex of
+    `avail`, the sorted non-empty available set.  A fixed priority is
+    consistent by construction, so only choosers can be the inconsistent
+    controls.  Refused past CONSISTENCY_MAX_STATES states.
     """
     n = g.n_online
     ptr = g.indptr.tolist()
@@ -124,8 +123,8 @@ def check_consistency(g: BipartiteGraph, rule) -> ConsistencyReport:
                 seq, key, after = prefix + (t,), free & nbrs[t], free
                 if key:
                     avail = np.array(sorted(key), dtype=np.int64)
-                    v = int(rule(t, avail, pos) if callable(rule)
-                            else avail[rule[avail].argmin()])
+                    v = int(avail[rule[avail].argmin()] if isinstance(rule, np.ndarray)
+                            else rule(t, avail, pos))
                     prev = seen.setdefault(t, {}).setdefault(key, (v, seq))
                     if prev[0] != v and len(violations) < CONSISTENCY_MAX_VIOLATIONS:
                         violations.append({

@@ -1,10 +1,11 @@
 """Single-pass and multipass online matching on a fixed arrival order.
 
 Arrivals are processed once each; an arrival is matched immediately to
-its free neighbor of least key under a fixed offline priority (random
-ties: one picked by a chooser), or left unmatched forever.  A priority
-is an int64 key array over the offline side: the least key wins, and
-among equal keys the lowest index wins.  Every one-pass algorithm in the
+its free neighbor of least key under a fixed offline priority, or left
+unmatched forever.  A priority is an int64 key array over the offline
+side: the least key wins, and among equal keys the lowest index wins,
+or with a `Draws` stream a uniform draw does.  A tie rule is that data,
+a (key, draws) pair from `tie_rule`.  Every one-pass algorithm in the
 package (greedy, ranking, each pass of category advice, and the
 known-IID rules) is `arrival_pass` with its own priority.  The multipass
 variant reruns the same arrival order with the categories collected in
@@ -28,30 +29,33 @@ TIE_BREAKS = ("lowest-index", "max-index", "random")
 _TAKEN = np.iinfo(np.int64).max
 
 
-def arrival_pass(g: BipartiteGraph, rows, rule) -> np.ndarray:
+def arrival_pass(g: BipartiteGraph, rows, key, draws: Draws | None = None) -> np.ndarray:
     """Partner taken by each arrival of one pass (-1: lost).
 
-    rows[p] is the graph row arriving at position p.  `rule` is a
+    rows[p] is the graph row arriving at position p.  `key` is a
     priority, an int64 key array over the offline side: each arrival
-    takes its free neighbor of least key, and among equal keys the one of
-    lowest index.  Or it is a chooser, and each arrival's free neighbors
-    `avail` (sorted, non-empty) go to rule(row, avail, p), which returns
-    one of them.  Arrivals with no free neighbor are lost.
+    takes its free neighbor of least key.  Without `draws`, equal keys go
+    to the lowest index.  With `draws`, each arrival draws one integer,
+    uniform over its free neighbors of least key (all of them when `key`
+    is None).  Arrivals with no free neighbor are lost.
     """
     ptr = g.indptr.tolist()
     indices = g.indices
     rows = np.asarray(rows, dtype=np.int64).tolist()
     partner = np.full(len(rows), -1, dtype=np.int64)
-    if callable(rule):
+    if draws is not None:
         free = np.ones(g.n_offline, dtype=bool)
         for pos, r in enumerate(rows):
             nb = indices[ptr[r]:ptr[r + 1]]
             avail = nb[free[nb]]
             if avail.size:
-                partner[pos] = v = rule(r, avail, pos)
+                if key is not None:
+                    kk = key[avail]
+                    avail = avail[kk == kk.min()]
+                partner[pos] = v = avail[draws.below(avail.size)]
                 free[v] = False
         return partner
-    key = np.array(rule, dtype=np.int64)
+    key = np.array(key, dtype=np.int64)
     for pos, r in enumerate(rows):
         a, b = ptr[r], ptr[r + 1]
         if a < b:
@@ -65,13 +69,15 @@ def arrival_pass(g: BipartiteGraph, rows, rule) -> np.ndarray:
 
 
 def tie_rule(n_offline: int, tie_break: str = "lowest-index",
-             seed: int | None = None, degree: np.ndarray | None = None):
-    """Offline priority of a tie rule: a rank array, or a chooser for "random".
+             seed: int | None = None, degree: np.ndarray | None = None
+             ) -> tuple[np.ndarray | None, Draws | None]:
+    """(key, draws) of a tie rule, the arguments of `arrival_pass`.
 
     Vertices of lower `degree` come first (no degree: all tie).  The index
-    rules break the remaining ties by lowest or highest index.  "random"
-    draws one integer per decision, uniform over the free neighbors of
-    least degree, through `Draws` from a generator seeded once.
+    rules break the remaining ties by lowest or highest index: a rank
+    array and no draws.  "random" keeps `degree` as the key and draws one
+    integer per decision, uniform over the free neighbors of least degree,
+    through `Draws` from a generator seeded once.
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"unknown tie_break {tie_break!r}; "
@@ -79,25 +85,19 @@ def tie_rule(n_offline: int, tie_break: str = "lowest-index",
     if tie_break != "random":
         index = np.arange(n_offline) * (1 if tie_break == "lowest-index" else -1)
         keys = (index,) if degree is None else (index, degree)
-        return np.argsort(np.lexsort(keys))
+        return np.argsort(np.lexsort(keys)), None
     if seed is None:
         raise ValueError("random tie break needs a seed")
-    draws = Draws(make_rng(seed))
-
-    def choose(r, avail, pos):
-        if degree is not None:
-            d = degree[avail]
-            avail = avail[d == d.min()]
-        return avail[draws.below(avail.size)]
-    return choose
+    return degree, Draws(make_rng(seed))
 
 
-def _online_pass(g: BipartiteGraph, arrival: np.ndarray | None, rule) -> np.ndarray:
+def _online_pass(g: BipartiteGraph, arrival: np.ndarray | None, key,
+                 draws: Draws | None = None) -> np.ndarray:
     """Partner of each online vertex after one pass in `arrival` order."""
     if arrival is None:
-        return arrival_pass(g, np.arange(g.n_online), rule)
+        return arrival_pass(g, np.arange(g.n_online), key, draws)
     arrival = check_permutation(arrival, g.n_online, "arrival order")
-    return arrival_pass(g, arrival, rule)[np.argsort(arrival)]
+    return arrival_pass(g, arrival, key, draws)[np.argsort(arrival)]
 
 
 def run_greedy(g: BipartiteGraph, arrival: np.ndarray | None = None,
@@ -107,7 +107,7 @@ def run_greedy(g: BipartiteGraph, arrival: np.ndarray | None = None,
     tie_break picks among free neighbors (see TIE_BREAKS); "random" is
     uniform per decision and needs a seed.
     """
-    return _online_pass(g, arrival, tie_rule(g.n_offline, tie_break, seed))
+    return _online_pass(g, arrival, *tie_rule(g.n_offline, tie_break, seed))
 
 
 def run_ranking(g: BipartiteGraph, arrival: np.ndarray | None,

@@ -11,7 +11,6 @@ given order; it is the analysis-friendly twin of the priority-list variant.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,15 +19,6 @@ from matchlab.graphs import BipartiteGraph, check_permutation
 from matchlab.rng import Draws, make_rng
 
 _DEAD = 1 << 40  # sentinel degree for processed online vertices
-
-
-@dataclass
-class LiveState:
-    """Snapshot handed to on_step callbacks before each selection."""
-
-    step: int
-    curdeg: np.ndarray        # near-_DEAD values mark processed vertices
-    alive_offline: np.ndarray
 
 
 def _min_degree_loop(g: BipartiteGraph, rng: np.random.Generator | None,
@@ -40,6 +30,8 @@ def _min_degree_loop(g: BipartiteGraph, rng: np.random.Generator | None,
     uniform one (the deterministic variant used by equivalence tests).
     Isolated vertices are deleted unmatched, consuming one iteration.
     Draws and the final rng state equal scalar `rng.integers` calls.
+    on_step(curdeg, alive_offline) sees the live arrays before each
+    selection; near-_DEAD degrees mark processed vertices.
 
     cands (sorted alive vertices of minimum degree d) follows the degrees
     each match lowers; all degrees are rescanned only when it runs empty.
@@ -53,9 +45,9 @@ def _min_degree_loop(g: BipartiteGraph, rng: np.random.Generator | None,
     alive_v = np.ones(g.n_offline, dtype=bool)
     partner = np.full(g.n_online, -1, dtype=np.int64)
     d, cands = 0, []
-    for step in range(g.n_online):
+    for _ in range(g.n_online):
         if on_step is not None:
-            on_step(LiveState(step, curdeg, alive_v))
+            on_step(curdeg, alive_v)
         if not len(cands):
             d = int(curdeg.min())
             cands = np.flatnonzero(curdeg == d)
@@ -130,26 +122,21 @@ def run_rhs_greedy(g: BipartiteGraph, desc: FamilyDescriptor,
     if g.n_online != n or g.n_offline != n + k:
         raise ValueError("graph does not match its descriptor")
     offline_order = check_permutation(offline_order, n + k, "offline order")
-    nxt = list(range(n + 1))  # nxt[i]: first maybe-alive index >= i
-
-    def find(i: int) -> int:
-        while nxt[i] != i:
-            nxt[i] = nxt[nxt[i]]
-            i = nxt[i]
-        return i
-
+    taken = [False] * (n + 1)  # n: a sentinel that stays free
+    low = 0  # every online vertex below low is taken
     partner = np.full(n, -1, dtype=np.int64)
     pendant_used = 0
     for v in offline_order.tolist():
         if v < k:
-            u = find(0)
-            if u < n:
-                partner[u] = v
-                nxt[u] = u + 1
+            while taken[low]:
+                low += 1
+            if low < n:
+                partner[low] = v
+                taken[low] = True
         else:
             u = v - k
-            if find(u) == u:
+            if not taken[u]:
                 partner[u] = v
-                nxt[u] = u + 1
+                taken[u] = True
                 pendant_used += 1
     return partner, pendant_used

@@ -19,8 +19,8 @@ from matchlab.families import (build_family, fibonacci, gen_h_graph,
                                gen_kvv_triangular)
 from matchlab.graphs import (BipartiteGraph, brute_force_maximum_matching,
                              matching_size, maximum_matching, verify_matching)
-from matchlab.iid import check_consistency, make_min_degree_rule
-from matchlab.online import run_category_advice
+from matchlab.iid import check_consistency
+from matchlab.online import run_category_advice, tie_rule
 from matchlab.priority import run_min_greedy, run_min_ranking_fixed, \
     run_rhs_greedy
 from matchlab.rng import derive_seed
@@ -213,11 +213,13 @@ def test_criterion_11_arrival_order_consistency_catalogue():
     parity_flagged = []
     for g in catalogue:
         rank = np.argsort(rank_rng.permutation(g.n_offline))
-        ok &= check_consistency(g, make_min_degree_rule(g, "lowest-index")).ok
+        degree_rule = tie_rule(g.n_offline, degree=g.offline_degrees)[0]
+        ok &= check_consistency(g, degree_rule).ok
         ok &= check_consistency(g, rank).ok  # fixed-priority greedy
         parity_flagged.append(not check_consistency(g, parity_control_chooser).ok)
     for g in catalogue[-2:]:
-        ok &= check_consistency(g, make_min_degree_rule(g, "max-index")).ok
+        degree_rule = tie_rule(g.n_offline, "max-index", degree=g.offline_degrees)[0]
+        ok &= check_consistency(g, degree_rule).ok
     ok &= all(parity_flagged[-2:])
     _finish(11, "arrival-order consistency over the graph catalogue", ok,
             f"{len(catalogue)} graphs, with mindegreehard L=2 N=2 K=2 and "

@@ -369,3 +369,15 @@ def test_reproduce_passes_exit_zero(run_cli):
     res = run_cli("reproduce", "fibonacci-ratios")
     assert res.returncode == 0
     assert res.stdout.strip().endswith("PASS: fibonacci-ratios")
+
+
+def test_a_stochastic_reproduction_reckons_each_size_once(monkeypatch):
+    sizes, trial_stats = [], experiments.trial_stats
+
+    def counted(values):
+        sizes.append(len(values))
+        return trial_stats(values)
+    monkeypatch.setattr(experiments, "trial_stats", counted)
+    result = experiments.reproduce("greedy-goelmehta")
+    assert result.passed and sizes == [300, 300]  # algorithm, optimum
+    assert result.values["trials"] == 300

@@ -11,10 +11,10 @@ from matchlab.families import gen_h_graph, gen_min_degree_hard
 from matchlab.graphs import (BipartiteGraph, matching_size, maximum_matching,
                              verify_matching)
 from matchlab.iid import (check_consistency, gadget_overflow_count,
-                          make_min_degree_rule, materialize_instance,
-                          run_greedy_iid, run_min_degree, sample_instance)
+                          materialize_instance, run_greedy_iid,
+                          run_min_degree, sample_instance)
 from matchlab.online import arrival_pass, tie_rule
-from matchlab.rng import derive_seed, make_rng
+from matchlab.rng import Draws, derive_seed, make_rng
 
 from conftest import is_maximal, parity_control_chooser, size_parity_chooser
 
@@ -77,14 +77,14 @@ def test_min_degree_rule_uses_static_not_residual_degrees():
     # vertex 1 is taken, vertex 2's residual scarcity must not matter
     tg = _tg([[0, 1], [1, 2], [1, 2]], 3)
     assert tg.offline_degrees.tolist() == [1, 3, 2]
-    rule = make_min_degree_rule(tg)
+    key, draws = tie_rule(tg.n_offline, degree=tg.offline_degrees)
     # a fixed priority by static degree: scarce 0, then 2, then busy 1
-    assert rule.tolist() == [0, 2, 1]
+    assert key.tolist() == [0, 2, 1] and draws is None
     # static degree of 2 beats 1's residual freedom regardless of history
-    assert arrival_pass(tg, [1], rule).tolist() == [2]
-    assert arrival_pass(tg, [1, 2], rule).tolist() == [2, 1]
+    assert arrival_pass(tg, [1], key).tolist() == [2]
+    assert arrival_pass(tg, [1, 2], key).tolist() == [2, 1]
     # arrival 0 takes the scarce vertex 0, arrivals 1-2 take 2 then 1
-    assert arrival_pass(tg, [0, 1, 2], rule).tolist() == [0, 2, 1]
+    assert arrival_pass(tg, [0, 1, 2], key).tolist() == [0, 2, 1]
 
 
 def test_tie_rules_coincide_when_all_degrees_differ():
@@ -97,17 +97,19 @@ def test_tie_rules_coincide_when_all_degrees_differ():
 
 
 def test_greedy_rule_tie_rules_and_guards():
-    assert tie_rule(4, "lowest-index").tolist() == [0, 1, 2, 3]
-    assert tie_rule(4, "max-index").tolist() == [3, 2, 1, 0]
+    for tie, rank in (("lowest-index", [0, 1, 2, 3]), ("max-index", [3, 2, 1, 0])):
+        key, draws = tie_rule(4, tie)
+        assert key.tolist() == rank and draws is None
     g = BipartiteGraph.from_rows(1, 10, [[2, 5, 9]])
-    assert arrival_pass(g, [0], tie_rule(10, "lowest-index")).tolist() == [2]
-    assert arrival_pass(g, [0], tie_rule(10, "max-index")).tolist() == [9]
+    assert arrival_pass(g, [0], *tie_rule(10, "lowest-index")).tolist() == [2]
+    assert arrival_pass(g, [0], *tie_rule(10, "max-index")).tolist() == [9]
     with pytest.raises(ValueError):
         tie_rule(10, "random")          # seed required
     with pytest.raises(ValueError):
         tie_rule(10, "first-come")
-    rule = tie_rule(10, "random", seed=4)
-    assert int(rule(0, np.array([2, 5, 9]), 0)) in {2, 5, 9}
+    key, draws = tie_rule(10, "random", seed=4)
+    assert key is None and isinstance(draws, Draws)
+    assert arrival_pass(g, [0], key, draws).tolist()[0] in {2, 5, 9}
 
 
 def test_star_type_graph_matches_exactly_one():
@@ -166,9 +168,9 @@ def test_consistency_holds_for_index_and_degree_rules():
         _tg([[0, 1]], 2),
     ]
     for tg in graphs:
-        for rule in (tie_rule(tg.n_offline), make_min_degree_rule(tg),
-                     make_min_degree_rule(tg, "max-index")):
-            report = check_consistency(tg, rule)
+        for tie, degree in (("lowest-index", None), ("lowest-index", tg.offline_degrees),
+                            ("max-index", tg.offline_degrees)):
+            report = check_consistency(tg, tie_rule(tg.n_offline, tie, degree=degree)[0])
             assert report.ok, report.violations
 
     def states(n):
@@ -178,7 +180,7 @@ def test_consistency_holds_for_index_and_degree_rules():
     assert (states(3), states(4)) == (10, 29)
     for n in range(1, 6):
         tg = _identity_tg(n)
-        report = check_consistency(tg, make_min_degree_rule(tg))
+        report = check_consistency(tg, tie_rule(n, degree=tg.offline_degrees)[0])
         assert report.ok and report.states_checked == states(n)
 
 

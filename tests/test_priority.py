@@ -60,24 +60,24 @@ def test_min_degree_loop_needs_an_rng_or_a_rank():
 
 def test_isolated_vertices_consume_iterations_but_never_match():
     g = BipartiteGraph.from_rows(3, 2, [[0], [], [0, 1]])
-    states = []
-    p = run_min_greedy(g, 12, on_step=states.append)
-    assert len(states) == g.n_online      # one selection per online vertex
+    steps = []
+    p = run_min_greedy(g, 12, on_step=lambda curdeg, alive: steps.append(1))
+    assert len(steps) == g.n_online      # one selection per online vertex
     assert p[1] == -1
     assert matching_size(p) == 2
 
 
-def _alive_online_mask(state):
+def _alive_online_mask(curdeg):
     # dead entries start at _DEAD and only lose one per later deletion,
     # so half the sentinel cleanly separates them from real degrees
-    return state.curdeg < priority._DEAD // 2
+    return curdeg < priority._DEAD // 2
 
 
-def _degrees_match(state, g):
-    """Recompute every alive degree from the live state's masks and compare."""
-    for u in np.flatnonzero(_alive_online_mask(state)):
+def _degrees_match(curdeg, alive_offline, g):
+    """Recompute every alive degree from the live arrays and compare."""
+    for u in np.flatnonzero(_alive_online_mask(curdeg)):
         nb = g.neighbors(int(u))
-        if int(state.alive_offline[nb].sum()) != int(state.curdeg[u]):
+        if int(alive_offline[nb].sum()) != int(curdeg[u]):
             return False
     return True
 
@@ -89,7 +89,8 @@ def test_live_state_degree_bookkeeping_matches_recomputation():
                              0.35, rng)
         checks = []
         run_min_ranking(g, derive_seed(SEED, 400 + i),
-                        on_step=lambda st: checks.append(_degrees_match(st, g)))
+                        on_step=lambda curdeg, alive: checks.append(
+                            _degrees_match(curdeg, alive, g)))
         assert all(checks)
 
 
@@ -99,13 +100,13 @@ def test_alive_degrees_stay_equal_on_hub_pendant_graphs():
     for n, k in ((4, 2), (5, 5), (6, 0), (3, 1)):
         g, _ = gen_h_graph(n, k)
 
-        def all_equal(st):
-            alive = st.curdeg[_alive_online_mask(st)]
+        def all_equal(curdeg):
+            alive = curdeg[_alive_online_mask(curdeg)]
             return alive.size == 0 or int(alive.min()) == int(alive.max())
 
         flags = []
         run_min_ranking(g, derive_seed(SEED, n * 10 + k),
-                        on_step=lambda st: flags.append(all_equal(st)))
+                        on_step=lambda curdeg, _: flags.append(all_equal(curdeg)))
         assert all(flags)
 
 

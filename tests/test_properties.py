@@ -20,13 +20,11 @@ from matchlab import online, priority
 from matchlab.graphs import (BipartiteGraph, brute_force_maximum_matching,
                              graph_from_dict, graph_to_dict, matching_size,
                              maximum_matching, verify_matching)
-from matchlab.iid import (check_consistency, make_min_degree_rule,
-                          materialize_instance, run_greedy_iid,
-                          run_min_degree, sample_instance)
+from matchlab.iid import (check_consistency, materialize_instance,
+                          run_greedy_iid, run_min_degree, sample_instance)
 from matchlab.online import (TIE_BREAKS, arrival_pass, run_category_advice,
                              run_greedy, run_ranking, tie_rule)
-from matchlab.priority import (LiveState, run_min_greedy, run_min_ranking,
-                               run_min_ranking_fixed)
+from matchlab.priority import run_min_greedy, run_min_ranking, run_min_ranking_fixed
 from matchlab.rng import Draws, make_rng
 
 from conftest import (is_maximal, offline_neighbors, parity_control_chooser,
@@ -140,9 +138,9 @@ def test_every_chooser_yields_a_maximal_matching(case, random, seed):
         inst = sample_instance(g, seed)
         gi = materialize_instance(g, inst)
         for tie in TIE_BREAKS:
-            for rule in (tie_rule(g.n_offline, tie, seed),
-                         make_min_degree_rule(g, tie, seed)):
-                p = arrival_pass(g, inst.draws, rule)
+            for degree in (None, g.offline_degrees):
+                p = arrival_pass(g, inst.draws,
+                                 *tie_rule(g.n_offline, tie, seed, degree))
                 assert verify_matching(gi, p) and is_maximal(gi, p)
 
 
@@ -223,8 +221,8 @@ def test_rank_pass_matches_the_chooser_reference(case, seed):
                 assert np.array_equal(run(g, inst, tie), want)
     for k in (1, 2, 3):
         _, sizes = run_category_advice(g, arrival, k)
-        with mock.patch.object(online, "arrival_pass", lambda g, rows, rank:
-                               _chooser_pass(g, rows, _least_rank(rank))):
+        with mock.patch.object(online, "arrival_pass", lambda g, rows, key, draws:
+                               _chooser_pass(g, rows, _least_rank(key))):
             assert run_category_advice(g, arrival, k)[1] == sizes
 
 
@@ -269,9 +267,9 @@ def _full_scan_min_degree_loop(g, rng, rank, on_step=None):
     curdeg = g.online_degrees.astype(np.int64).copy()
     alive_v = np.ones(g.n_offline, dtype=bool)
     partner = np.full(g.n_online, -1, dtype=np.int64)
-    for step in range(g.n_online):
+    for _ in range(g.n_online):
         if on_step is not None:
-            on_step(LiveState(step, curdeg, alive_v))
+            on_step(curdeg, alive_v)
         d = curdeg.min()
         if rng is None:
             u = int(np.argmin(curdeg))
@@ -302,7 +300,7 @@ def _traced_min_degree_run(run, loop):
 
     with mock.patch.object(priority, "_min_degree_loop", loop), \
             mock.patch.object(priority, "make_rng", recording_make_rng):
-        p = run(lambda state: snapshots.append(state.curdeg.copy()))
+        p = run(lambda curdeg, alive: snapshots.append(curdeg.copy()))
     return p, snapshots, [r.bit_generator.state for r in rngs]
 
 
@@ -390,13 +388,14 @@ def test_random_tie_rules_match_the_scalar_draw_reference(case, seed):
     g = BipartiteGraph.from_rows(*case)
     arrival = make_rng(seed).permutation(g.n_online)
     want = np.full(g.n_online, -1, dtype=np.int64)
-    want[arrival] = arrival_pass(g, arrival, _scalar_random_rule(g.n_offline, seed))
+    want[arrival] = _chooser_pass(g, arrival.tolist(),
+                                  _scalar_random_rule(g.n_offline, seed))
     assert np.array_equal(run_greedy(g, arrival, "random", seed), want)
     if g.n_online:
         inst = sample_instance(g, seed)
         for run, degree in ((run_greedy_iid, None), (run_min_degree, g.offline_degrees)):
-            ref = arrival_pass(g, inst.draws,
-                               _scalar_random_rule(g.n_offline, seed, degree))
+            ref = _chooser_pass(g, inst.draws.tolist(),
+                                _scalar_random_rule(g.n_offline, seed, degree))
             assert np.array_equal(run(g, inst, "random", seed), ref)
 
 
@@ -411,14 +410,14 @@ def _enumerated_consistency(g, rule):
 
     def record(t, avail, pos):
         nonlocal ok
-        v = int(rule(t, avail, pos) if callable(rule)
-                else avail[rule[avail].argmin()])
+        v = int(avail[rule[avail].argmin()] if isinstance(rule, np.ndarray)
+                else rule(t, avail, pos))
         ok &= seen.setdefault(t, {}).setdefault(frozenset(avail.tolist()), v) == v
         return v
 
     n = g.n_online
     for seq in itertools.product(range(n), repeat=n):
-        arrival_pass(g, seq, record)
+        _chooser_pass(g, seq, record)
     for ctx in seen.values():
         for big, small in itertools.permutations(ctx, 2):
             ok &= not (small < big and ctx[big] in small and ctx[small] != ctx[big])
@@ -430,8 +429,8 @@ def _enumerated_consistency(g, rule):
 @example((2, 2, [[], [0, 1]]), 0)  # a type with no neighbors: parity flagged
 def test_consistency_check_matches_the_enumerating_reference(case, seed):
     g = BipartiteGraph.from_rows(*case)
-    for rule in (make_min_degree_rule(g, "lowest-index"),
-                 make_min_degree_rule(g, "max-index"),
+    for rule in (tie_rule(g.n_offline, "lowest-index", degree=g.offline_degrees)[0],
+                 tie_rule(g.n_offline, "max-index", degree=g.offline_degrees)[0],
                  np.argsort(make_rng(seed).permutation(g.n_offline)),
                  parity_control_chooser, size_parity_chooser):
         report = check_consistency(g, rule)
