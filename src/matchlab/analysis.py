@@ -29,13 +29,13 @@ class TrialStats:
 
     mean: float
     variance: float
-    ci_low: float
-    ci_high: float
     count: int
 
     @property
     def ci(self) -> tuple[float, float]:
-        return (self.ci_low, self.ci_high)
+        """Normal 95% interval, mean -/+ 1.96 standard errors."""
+        half = 1.96 * self.stderr
+        return (self.mean - half, self.mean + half)
 
     @property
     def stderr(self) -> float:
@@ -53,9 +53,7 @@ def trial_stats(values) -> TrialStats:
         variance = math.fsum((x - mean) ** 2 for x in arr) / (n - 1)
     else:
         variance = 0.0
-    half = 1.96 * math.sqrt(variance / n)
-    return TrialStats(mean=mean, variance=variance,
-                      ci_low=mean - half, ci_high=mean + half, count=n)
+    return TrialStats(mean=mean, variance=variance, count=n)
 
 
 def expected_y_exact(n: int) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -120,9 +120,6 @@ def _run_block(spec: ExperimentSpec, lo: int, hi: int) -> list[tuple[int, int, i
             out.append((t, matching_size(p), opt))
         return out
     opt = matching_size(maximum_matching(g))
-    if alg == "category-advice":
-        size = run_category_advice(g, k=spec.passes or 1)[1][-1]
-        return [(t, size, opt) for t in range(lo, hi)]
     for t in range(lo, hi):
         ts = derive_seed(spec.seed, t)
         if alg == "ranking":
@@ -131,6 +128,8 @@ def _run_block(spec: ExperimentSpec, lo: int, hi: int) -> list[tuple[int, int, i
             p = run_greedy(g, tie_break=tie, seed=ts)
         elif alg == "mingreedy":
             p = run_min_greedy(g, ts)
+        elif alg == "category-advice":
+            p = run_category_advice(g, k=spec.passes or 1)[0]
         else:  # minranking
             p = run_min_ranking(g, ts)
         out.append((t, matching_size(p), opt))
@@ -180,20 +179,24 @@ def _summary(alg: TrialStats, opt: TrialStats) -> dict:
 
 
 # --------------------------------------------------------------------------
-# Named reproductions.  Each returns a ReproduceResult whose `lines` are
-# human-readable measurements and whose `passed` flag applies the pinned
-# tolerance band.  The acceptance tests assert on these same objects.
-# The five stochastic reproductions are the rows of STOCHASTIC, which one
-# helper runs: a mean passes when it lies within three standard errors of
-# its exact expectation, reckoned in matchlab.analysis at the pinned size,
-# and the pinned band is applied to the exact ratio at a large size.
+# Named reproductions.  Each returns (checks, values): a check is the
+# (ok, human-readable line) pair of _band_line or _exact_line, and
+# reproduce() alone builds the ReproduceResult, passed when all are ok,
+# that the CLI and the acceptance tests read.  The five stochastic
+# reproductions are the rows of STOCHASTIC, which one helper runs: a mean
+# passes when it lies within three standard errors of its exact
+# expectation, reckoned in matchlab.analysis at the pinned size, and the
+# pinned band is applied to the exact ratio at a large size.
+
+Checks = list[tuple[bool, str]]
+
 
 @dataclass
 class ReproduceResult:
     name: str
     passed: bool
-    lines: list[str] = field(default_factory=list)
-    values: dict = field(default_factory=dict)
+    lines: list[str]
+    values: dict
 
 
 def _band_line(label: str, value: float, lo: float, hi: float) -> tuple[bool, str]:
@@ -215,14 +218,13 @@ def _exact_line(label: str, mean: float, stderr: float, exact: float,
 
 
 def reproduce_fibonacci_ratios(seed: int = DEFAULT_SEED,
-                               workers: int = 1) -> ReproduceResult:
+                               workers: int = 1) -> tuple[Checks, dict]:
     """Exact pass counts on the recursive worst-case family, k = 1..8.
 
     k passes must land exactly on F_{2k}; one or two extra passes gain
     exactly one more edge; the optimum is the full side F_{2k+1}.
     """
-    lines, values = [], {}
-    passed = True
+    checks, values = [], {}
     for k in range(1, 9):
         g, desc = build_family("fibonacci", {"k": k})
         want = fibonacci(2 * k)
@@ -232,13 +234,12 @@ def reproduce_fibonacci_ratios(seed: int = DEFAULT_SEED,
         got, got_p1, got_p2 = run_category_advice(g, k=k + 2)[1][k - 1:]
         ok = (got == want and got_p1 == want + 1 and got_p2 == want + 1
               and opt == fibonacci(2 * k + 1) == desc.expected_opt)
-        passed &= ok
         values[k] = {"passes": got, "plus1": got_p1, "plus2": got_p2, "opt": opt}
-        lines.append(f"k={k}: {k} passes -> {got} (want {want}), "
-                     f"+1/+2 passes -> {got_p1}/{got_p2} (want {want + 1}), "
-                     f"opt {opt} (want {fibonacci(2 * k + 1)})"
-                     f" [{'ok' if ok else 'MISMATCH'}]")
-    return ReproduceResult("fibonacci-ratios", passed, lines, values)
+        checks.append((ok, f"k={k}: {k} passes -> {got} (want {want}), "
+                           f"+1/+2 passes -> {got_p1}/{got_p2} (want {want + 1}), "
+                           f"opt {opt} (want {fibonacci(2 * k + 1)})"
+                           f" [{'ok' if ok else 'MISMATCH'}]"))
+    return checks, values
 
 
 @dataclass(frozen=True)
@@ -249,7 +250,7 @@ class StochasticReproduction:
     the mean size, and with `sampled_opt` the mean sampled optimum (then
     the ratio's yardstick), must lie within 3 se of them plus `error`.
     The exact ratio at `large` must lie in `band`; with no `large`, the
-    paper's bound is printed instead.  `extra` adds a checked line.
+    paper's bound is printed instead.  `extra` adds a check and values.
     """
 
     spec: ExperimentSpec
@@ -258,10 +259,10 @@ class StochasticReproduction:
     band: tuple[float, float] | None
     limit: str
     sampled_opt: bool
-    extra: Callable[[ExperimentSpec], tuple[bool, str, dict]] | None
+    extra: Callable[[ExperimentSpec], tuple[tuple[bool, str], dict]] | None
 
 
-def _gadget_overflow(spec: ExperimentSpec) -> tuple[bool, str, dict]:
+def _gadget_overflow(spec: ExperimentSpec) -> tuple[tuple[bool, str], dict]:
     """Trials whose sampled instance overflows a gadget: under 1% pass."""
     g, desc = build_family(spec.family, spec.family_params)
     overflowing = sum(
@@ -271,7 +272,7 @@ def _gadget_overflow(spec: ExperimentSpec) -> tuple[bool, str, dict]:
     ok = frac < 0.01
     line = (f"overflow trials: {overflowing}/{spec.trials} "
             f"({'ok' if ok else 'TOO MANY'}, need < 1%)")
-    return ok, line, {"overflow_fraction": frac}
+    return (ok, line), {"overflow_fraction": frac}
 
 
 _E, _HALF_E = 1.0 - 1.0 / math.e, 0.5 + 0.5 / math.e
@@ -300,7 +301,7 @@ STOCHASTIC = {
 }
 
 
-def _reproduce_stochastic(name: str, seed: int, workers: int) -> ReproduceResult:
+def _reproduce_stochastic(name: str, seed: int, workers: int) -> tuple[Checks, dict]:
     """Run one STOCHASTIC row at `seed` and check it."""
     row = STOCHASTIC[name]
     spec = replace(row.spec, seed=seed)
@@ -329,15 +330,14 @@ def _reproduce_stochastic(name: str, seed: int, workers: int) -> ReproduceResult
         checks += [(True, f"{head} over {len(rows)} trials (opt {yardstick:.0f})"),
                    (ok, f"{line} (paper's limit {row.limit})")]
     if row.extra is not None:
-        ok, line, more = row.extra(spec)
-        checks.append((ok, line))
+        check, more = row.extra(spec)
+        checks.append(check)
         values.update(more)
-    return ReproduceResult(name, all(ok for ok, _ in checks),
-                           [line for _, line in checks], values)
+    return checks, values
 
 
 def reproduce_markov_ne(seed: int = DEFAULT_SEED,
-                        workers: int = 1) -> ReproduceResult:
+                        workers: int = 1) -> tuple[Checks, dict]:
     """Pendant-count chain against 1/e, plus sampler cross-checks.
 
     Anchors: the exact expectation at n=2000 lands within 0.01 of 1/e;
@@ -345,30 +345,20 @@ def reproduce_markov_ne(seed: int = DEFAULT_SEED,
     standard errors; the root of the solved rate equation at n=1000 sits
     in [0.33, 0.37] after scaling.
     """
-    lines, values = [], {}
     target = 1.0 / math.e
     v2000 = expected_y_exact(2000) / 2000.0
-    ok1, line = _band_line("E[Y]/n at n=2000", v2000, target - 0.01, target + 0.01)
-    lines.append(line + f" (1/e = {target:.5f})")
-
+    ok, line = _band_line("E[Y]/n at n=2000", v2000, target - 0.01, target + 0.01)
     exact200 = expected_y_exact(200)
     chain = simulate_chain(200, 10_000, derive_seed(seed, 0))
     rhs = simulate_rhs_empirical(200, 10_000, derive_seed(seed, 1))
-    ok2, line = _exact_line("chain sampler n=200", chain.mean, chain.stderr,
-                            exact200)
-    lines.append(line)
-    ok3, line = _exact_line("graph sampler n=200", rhs.mean, rhs.stderr,
-                            exact200)
-    lines.append(line)
-
     root = ode_root(1000) / 1000.0
-    ok4, line = _band_line("rate-equation root / n at n=1000", root, 0.33, 0.37)
-    lines.append(line)
-    values.update({"y2000_over_n": v2000, "exact200": exact200,
-                   "chain_mean": chain.mean, "rhs_mean": rhs.mean,
-                   "root_over_n": root})
-    return ReproduceResult("markov-ne", ok1 and ok2 and ok3 and ok4,
-                           lines, values)
+    checks = [(ok, f"{line} (1/e = {target:.5f})"),
+              _exact_line("chain sampler n=200", chain.mean, chain.stderr, exact200),
+              _exact_line("graph sampler n=200", rhs.mean, rhs.stderr, exact200),
+              _band_line("rate-equation root / n at n=1000", root, 0.33, 0.37)]
+    return checks, {"y2000_over_n": v2000, "exact200": exact200,
+                    "chain_mean": chain.mean, "rhs_mean": rhs.mean,
+                    "root_over_n": root}
 
 
 REPRODUCTIONS = {
@@ -386,4 +376,6 @@ def reproduce(name: str, seed: int = DEFAULT_SEED,
                          f"choose from {sorted(REPRODUCTIONS)}")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    return REPRODUCTIONS[name](seed=seed, workers=workers)
+    checks, values = REPRODUCTIONS[name](seed=seed, workers=workers)
+    return ReproduceResult(name, all(ok for ok, _ in checks),
+                           [line for _, line in checks], values)

@@ -190,43 +190,25 @@ def maximum_matching(g: BipartiteGraph) -> np.ndarray:
 def brute_force_maximum_matching(g: BipartiteGraph) -> np.ndarray:
     """Exhaustive-search maximum matching, independent of the fast oracle.
 
-    Recurses over online vertices trying every free neighbor plus the
-    skip branch, memoized on (vertex, frozen set of used offline vertices).
-    Exponential in the worst case; guarded to small instances.
+    Sweeps the online vertices in order, keeping for each set of used
+    offline vertices (a bitmask) the first partner tuple that reaches it,
+    by skipping the vertex or by taking any free neighbour; the set with
+    the most members is a maximum matching.  Exponential in the worst
+    case; guarded to small instances.
     """
     if g.n_online > BRUTE_FORCE_MAX_ONLINE:
         raise ValueError(
             f"brute force limited to n_online <= {BRUTE_FORCE_MAX_ONLINE}")
-    adj = g.adjacency()
-    n = g.n_online
-    memo: dict[tuple[int, int], int] = {}
-
-    def best(u: int, used: int) -> int:
-        if u == n:
-            return 0
-        key = (u, used)
-        val = memo.get(key)
-        if val is not None:
-            return val
-        r = best(u + 1, used)
-        for v in adj[u]:
-            if not used >> v & 1:
-                r = max(r, 1 + best(u + 1, used | 1 << v))
-        memo[key] = r
-        return r
-
-    partner = np.full(n, -1, dtype=np.int64)
-    used = 0
-    for u in range(n):
-        target = best(u, used)
-        if best(u + 1, used) == target:
-            continue
-        for v in adj[u]:
-            if not used >> v & 1 and 1 + best(u + 1, used | 1 << v) == target:
-                partner[u] = v
-                used |= 1 << v
-                break
-    return partner
+    level: dict[int, tuple[int, ...]] = {0: ()}
+    for row in g.adjacency():
+        nxt: dict[int, tuple[int, ...]] = {}
+        for used, partners in level.items():
+            nxt.setdefault(used, partners + (-1,))
+            for v in row:
+                if not used >> v & 1:
+                    nxt.setdefault(used | 1 << v, partners + (v,))
+        level = nxt
+    return np.array(level[max(level, key=int.bit_count)], dtype=np.int64)
 
 
 def check_size(n_online: int, n_offline: int, n_edges: int) -> None:

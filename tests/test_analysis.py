@@ -59,7 +59,7 @@ def test_trial_stats_basics():
     assert s.mean == 5.0 and s.variance == 0.0 and s.ci == (5.0, 5.0)
     s = trial_stats([0, 1, 0, 1])
     assert s.mean == 0.5 and s.count == 4
-    assert s.ci_low < 0.5 < s.ci_high
+    assert s.ci[0] < 0.5 < s.ci[1]
     one = trial_stats([2.5])
     assert one.variance == 0.0 and one.stderr == 0.0
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Command-line contract: formats, determinism, seeds, exit codes."""
 
 import concurrent.futures
+import hashlib
 import json
 import os
 import subprocess
@@ -11,8 +12,7 @@ import pytest
 
 import matchlab
 from matchlab import cli, experiments, families, graphs
-from matchlab.experiments import (REPRODUCTIONS, ExperimentSpec,
-                                  ReproduceResult, run_experiment)
+from matchlab.experiments import REPRODUCTIONS, ExperimentSpec, run_experiment
 
 from test_graphs import MALFORMED_GRAPH_DOCS
 
@@ -309,7 +309,7 @@ def test_reproduce_defaults_to_seed_101_and_ignores_the_environment(
 
     def stub(seed, workers):
         seeds.append(seed)
-        return ReproduceResult("ranking-kvv", True, [], {})
+        return [], {}
 
     monkeypatch.setitem(REPRODUCTIONS, "ranking-kvv", stub)
     monkeypatch.setenv(cli.SEED_ENV_VAR, "5")
@@ -354,15 +354,17 @@ def test_usage_errors_exit_one(run_cli):
 
 
 def test_reproduce_wiring_reports_band_failures_with_exit_two(monkeypatch, capsys):
-    def always_red(seed=0, workers=1):
-        return ReproduceResult("always-red", False,
-                               ["measured 0.10 outside [0.20, 0.30]"], {})
+    def one_red(seed=0, workers=1):
+        return [(True, "measured 0.25 within [0.20, 0.30]"),
+                (False, "measured 0.10 outside [0.20, 0.30]")], {}
 
-    monkeypatch.setitem(REPRODUCTIONS, "always-red", always_red)
-    code = cli.main(["reproduce", "always-red"])
+    monkeypatch.setitem(REPRODUCTIONS, "one-red", one_red)
+    code = cli.main(["reproduce", "one-red"])
     out = capsys.readouterr().out
     assert code == 2
-    assert "FAIL: always-red" in out and "outside" in out
+    assert out == ("measured 0.25 within [0.20, 0.30]\n"
+                   "measured 0.10 outside [0.20, 0.30]\n"
+                   "FAIL: one-red\n")
 
 
 def test_reproduce_passes_exit_zero(run_cli):
@@ -381,3 +383,48 @@ def test_a_stochastic_reproduction_reckons_each_size_once(monkeypatch):
     result = experiments.reproduce("greedy-goelmehta")
     assert result.passed and sizes == [300, 300]  # algorithm, optimum
     assert result.values["trials"] == 300
+
+
+# SHA-256 of stdout at seeds 101 and 7: every algorithm, both formats,
+# per-trial and summary rows, random and max-index ties, and one
+# reproduction.  Output is meant to stay byte-identical across refactors;
+# a change that moves an RNG stream or a format re-records these and says
+# which outputs moved and why.
+GOLDEN_STDOUT = {
+    "run kvv n=20 --algorithm greedy --trials 6 --tie random --per-trial":
+        {"101": "3d47ba267576fcde8bf1238b134bdb108fad217c2b27c13fe0b8da4d1fc0daa4",
+         "7": "1b63bb0a2f5a8404ded9cfa0a65e993dbf116a891c09b2845bc212fd6833e9c2"},
+    "run kvv n=20 --algorithm greedy --trials 3 --tie max-index --format csv":
+        {"101": "700760e66651bf422ab5350644066113d84a18e2a0371032ba4d1863eaac1699",
+         "7": "a0cb8e51facc65c5fbfbf90f925b94558bc79869ce0774ab25e86c4b9f348e59"},
+    "run kvv n=20 --algorithm ranking --trials 6 --format csv --per-trial":
+        {"101": "6db696b98aafec40b070a40ee54de9b344caeb41167ab934f61f81670bd3092c",
+         "7": "6cc6f8efd02ec705861ff50bbb2dd157667df85ef8955029c2d79b3d8c128271"},
+    "run fibonacci k=4 --algorithm category-advice --k 2":
+        {"101": "c61570b884ff9957cf318e24a7d1b883cbf507b6ed07bf9b0f992280a4ab8b14",
+         "7": "d8d067048c4c7cd63904af2a6cac220b593fc777abafed047e96a6fe9cf6bd47"},
+    "run bp b=4 --algorithm mingreedy --trials 5 --per-trial":
+        {"101": "e7ed07c306d31fffb3e1f916fb88d1b57af71fedb7eb52fedf30482bb0684da5",
+         "7": "02a5938fb74ca7cee5b52b81236ae69c895d580d4934b5437d5bcbc8f2cbf6f1"},
+    "run bp b=4 --algorithm minranking --trials 5 --format csv --per-trial":
+        {"101": "b9a83063212c1c5f2a19991324fe5451de571b37fd8ccfeda634ca286ea16249",
+         "7": "ac4492cc86f2cf5ff2ac84617f5aaecc9d0236dffe7441777117c84813fa0bb9"},
+    "run mindegreehard L=2 N=2 K=3 --algorithm mindegree --trials 5 --tie random":
+        {"101": "67f6b8f134ae4230233c703d068f09cc9bf479d770d6313d43441d34623a94bc",
+         "7": "0ba1810c8dca976de33cd0a6d0e9c98534b3abf44b20fdfef29bd60583299299"},
+    "run goelmehta L=3 N=3 --algorithm greedy-iid --trials 5 --tie max-index "
+    "--format csv --per-trial":
+        {"101": "ec23b31a418d133348a15021d0062662dee06d28b4ea0181bb6e1e67548d3e6d",
+         "7": "a1aed41d542c1911ec2036fd711499272f691efc7157f196f173b3866f3c0b34"},
+    "reproduce fibonacci-ratios":
+        {"101": "191310c63e0f05b44f4389d8d17802f3ecb14829940d67238f99a001167befe6",
+         "7": "191310c63e0f05b44f4389d8d17802f3ecb14829940d67238f99a001167befe6"},
+}
+
+
+@pytest.mark.parametrize("seed", ["101", "7"])
+@pytest.mark.parametrize("command", list(GOLDEN_STDOUT))
+def test_stdout_matches_its_recorded_digest(run_cli, command, seed):
+    res = run_cli(*command.split(), "--seed", seed)
+    assert res.returncode == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == GOLDEN_STDOUT[command][seed]

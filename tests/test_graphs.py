@@ -146,7 +146,7 @@ def test_maximum_matching_is_valid_and_matches_brute_force():
 
 
 def test_brute_force_result_is_itself_a_matching_of_right_size():
-    # the reconstruction walk must realize the counted optimum exactly
+    # the partner tuple kept for the fullest mask must realize the optimum
     for i in range(40):
         g = _fuzz_graph(200 + i, max_online=8, max_offline=6, p=0.5)
         m = brute_force_maximum_matching(g)
