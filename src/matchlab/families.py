@@ -32,13 +32,6 @@ def fibonacci(i: int) -> int:
     return b
 
 
-def _runs(rows: np.ndarray, *runs) -> np.ndarray:
-    """Row-major (row, start, stop) arrays giving each of `rows` the
-    (start, stop) `runs` in order; the bounds broadcast against `rows`."""
-    bounds = np.stack(np.broadcast_arrays(rows, *(x for run in runs for x in run)), axis=1)
-    return np.vstack([np.repeat(rows, len(runs)), bounds[:, 1:].reshape(-1, 2).T])
-
-
 @dataclass(frozen=True)
 class FamilyDescriptor:
     """Layout metadata of a generated family; frozen, as build_family shares it."""
@@ -75,20 +68,17 @@ def gen_fibonacci_family(k: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
     """
     if not 1 <= k <= 11:
         raise ValueError("k must lie in 1..11 (desk-scale guard)")
-    row, start, stop = np.array([[0, 1], [0, 0], [2, 1]])  # u0: v0, v1; u1: v0
+    blocks = [(np.arange(2), 0, np.array([2, 1]))]  # u0: v0, v1; u1: v0
     for level in range(1, k):
         a = fibonacci(2 * level + 1)   # side size of the current level
         b = fibonacci(2 * level)
         i, j = np.arange(a), np.arange(b)
-        first = np.searchsorted(row, i)  # each row's first run; every row has one
-        row, start, stop = np.concatenate([
-            # U1: complete to V1, then the copy shifted into V3
-            [np.insert(row, first, i), np.insert(start + a + b, first, 0),
-             np.insert(stop + a + b, first, a)],
-            _runs(a + j, (0, a), (a + j, a + j + 1)),  # U2: V1, parallel to V2
-            _runs(a + b + i, (i, i + 1))], axis=1)     # U3: parallel to V1
+        blocks = [(np.arange(a + b), 0, a),                            # U1, U2: complete to V1
+                  *[(r, s + a + b, t + a + b) for r, s, t in blocks],  # U1: copy into V3
+                  (a + j, a + j, a + j + 1),                           # U2: parallel to V2
+                  (a + b + i, i, i + 1)]                               # U3: parallel to V1
     side = fibonacci(2 * k + 1)
-    g = BipartiteGraph.from_ranges(side, side, row, start, stop)
+    g = BipartiteGraph.from_ranges(side, side, *blocks)
     if k == 1:
         on_blocks = {"U": (0, side)}
         off_blocks = {"V": (0, side)}
@@ -111,7 +101,7 @@ def gen_kvv_triangular(n: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
     if n < 1:
         raise ValueError("n must be positive")
     i = np.arange(n)
-    g = BipartiteGraph.from_ranges(n, n, *_runs(i, (i, n)))
+    g = BipartiteGraph.from_ranges(n, n, (i, i, n))
     return g, FamilyDescriptor(
         family="kvv", params={"n": n},
         online_blocks={"U": (0, n)}, offline_blocks={"V": (0, n)},
@@ -134,10 +124,10 @@ def gen_besser_poloczek(b: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
     side = 2 * b2 + 2 * b
     i, j = np.arange(b2), np.arange(2 * b2, side)
     blk = b2 + i // b * b
-    g = BipartiteGraph.from_ranges(side, side, *np.concatenate([
-        _runs(i, (b2 + i, b2 + i + 1), (2 * b2, side)),  # S1: partner, S3
-        _runs(b2 + i, (i, i + 1), (blk, blk + b)),       # S2: partner, sub-block
-        _runs(j, (0, b2), (j, j + 1))], axis=1))         # S3: S1, partner
+    g = BipartiteGraph.from_ranges(
+        side, side, (i, b2 + i, b2 + i + 1), (i, 2 * b2, side),  # S1: partner, S3
+        (b2 + i, i, i + 1), (b2 + i, blk, blk + b),              # S2: partner, sub-block
+        (j, 0, b2), (j, j, j + 1))                               # S3: S1, partner
     blocks = {"S1": (0, b2), "S2": (b2, 2 * b2), "S3": (2 * b2, side)}
     return g, FamilyDescriptor(
         family="besser_poloczek", params={"b": b},
@@ -155,7 +145,7 @@ def gen_h_graph(n: int, k: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
     if n < 1 or not 0 <= k <= n:
         raise ValueError("need n >= 1 and 0 <= k <= n")
     i = np.arange(n)
-    g = BipartiteGraph.from_ranges(n, k + n, *_runs(i, (0, k), (k + i, k + i + 1)))
+    g = BipartiteGraph.from_ranges(n, k + n, (i, 0, k), (i, k + i, k + i + 1))
     return g, FamilyDescriptor(
         family="hgraph", params={"n": n, "k": k},
         online_blocks={"U": (0, n)},
@@ -175,7 +165,7 @@ def gen_goel_mehta(L: int, N: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
         raise ValueError("L and N must be positive")
     n = L * N
     u = np.arange(n)
-    g = BipartiteGraph.from_ranges(n, n, *_runs(u, (u // L * L, n)))
+    g = BipartiteGraph.from_ranges(n, n, (u, u // L * L, n))
     return g, FamilyDescriptor(
         family="goel_mehta", params={"L": L, "N": N},
         online_blocks={f"U{j}": ((j - 1) * L, j * L) for j in range(1, N + 1)},
@@ -215,12 +205,13 @@ def gen_min_degree_hard(L: int, N: int, K: int) -> tuple[BipartiteGraph, FamilyD
     n_offline = ln * K + N * cap
     u = np.arange(ln * K)
     gadget = np.arange(N * L) // L  # 0-based gadget of each gadget row
+    g_row = ln * K + np.arange(N * L)
     own = ln * K + gadget * cap
-    g = BipartiteGraph.from_ranges(n_online, n_offline, *np.concatenate([
-        _runs(u, (u // L * L, u // ln * ln + ln)),      # copy blocks j..N
-        _runs(ln * K + np.arange(N * L),                # copy blocks 1..j, own
-              *[(i * ln, i * ln + (gadget + 1) * L) for i in range(K)], (own, own + cap))],
-        axis=1))
+    copy = np.arange(K) * ln
+    g = BipartiteGraph.from_ranges(
+        n_online, n_offline, (u, u // L * L, u // ln * ln + ln),  # copy blocks j..N
+        (g_row[:, None], copy, copy + (gadget[:, None] + 1) * L),  # every copy's blocks 1..j
+        (g_row, own, own + cap))                                   # own gadget
     copies = [(i * ln, (i + 1) * ln) for i in range(K)]
     return g, FamilyDescriptor(
         family="min_degree_hard", params={"L": L, "N": N, "K": K},

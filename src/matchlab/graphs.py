@@ -104,19 +104,24 @@ class BipartiteGraph:
         return cls(n_online, n_offline, indptr, indices)
 
     @classmethod
-    def from_ranges(cls, n_online: int, n_offline: int, row, start, stop) -> "BipartiteGraph":
-        """Graph in which row row[r] holds offline ids start[r]..stop[r]-1.
+    def from_ranges(cls, n_online: int, n_offline: int, *blocks) -> "BipartiteGraph":
+        """Graph from blocks of (rows, start, stop) runs of offline ids.
 
-        Runs come in row order; the constructor refuses a row whose runs
-        overlap or descend.  `indices` is one allocation: steps of 1, each
-        run's jump at its first edge, then a running sum in place.
+        The parts of a block broadcast together: row rows[r] holds ids
+        start[r]..stop[r]-1.  Runs may come in any order; one lexsort puts
+        them in row order, and the constructor refuses overlapping runs.
+        `indices` is one allocation: steps of 1, each run's jump at its
+        first edge, then a running sum in place.
         """
-        row, start, stop = (np.asarray(a, dtype=np.int64) for a in (row, start, stop))
+        runs = np.concatenate([np.reshape(np.broadcast_arrays(*b), (3, -1)) for b in blocks]
+                              or [np.empty((3, 0))], axis=1).astype(np.int64, copy=False)
+        runs = runs[:, np.lexsort(runs[1::-1])]  # by row, then start; frees the input
+        row, start, stop = runs
         length = stop - start
-        if np.any(length < 0) or np.any(row[1:] < row[:-1]):
-            raise ValueError("runs must have start <= stop and come in row order")
+        if np.any(length < 0):
+            raise ValueError("runs must have start <= stop")
         ends = np.concatenate(([0], np.cumsum(length)))
-        indptr = ends[np.searchsorted(row, np.arange(n_online + 1))]
+        indptr = ends[np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n_online))))]
         indices = np.ones(ends[-1], np.int64)
         ran = length > 0
         indices[ends[:-1][ran]] = start[ran] - np.concatenate(([1], stop[ran][:-1])) + 1

@@ -428,3 +428,25 @@ def test_stdout_matches_its_recorded_digest(run_cli, command, seed):
     res = run_cli(*command.split(), "--seed", seed)
     assert res.returncode == 0
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == GOLDEN_STDOUT[command][seed]
+
+
+# SHA-256 of stdout of seedless commands: `generate` for every family.
+GOLDEN_SEEDLESS_STDOUT = {
+    "generate fibonacci k=5":
+        "6bbca9e50b54d042067f3681ff2ce5e1cf6bf5b3dbb0b8b1e8887b10fc1348af",
+    "generate kvv n=30": "81e51975233fc47eb0fbd2907d747763b4b90ae4f108156f08686be316f528de",
+    "generate bp b=3": "88fefb51dc64620f6fc236e4604279e7ed5db633aa937fd7854853ed9df02993",
+    "generate hgraph n=6 k=3":
+        "2c767ef0cf6b27df04d88692e4640fa2005269b12c8461ce8654a23c7474c9bb",
+    "generate goelmehta L=3 N=4":
+        "56e4592cd8284d70f354642828abb2638a3a66bbc26e489ac24e8e60b29d534c",
+    "generate mindegreehard L=2 N=3 K=4":
+        "f65c7dfbd5b1a6e238c84efe87c7239ffa871dcfe8cd8d0c48d148fbb2db6376",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_SEEDLESS_STDOUT))
+def test_seedless_stdout_matches_its_recorded_digest(run_cli, command):
+    res = run_cli(*command.split())
+    assert res.returncode == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == GOLDEN_SEEDLESS_STDOUT[command]

@@ -438,3 +438,16 @@ def test_a_build_peaks_near_the_size_of_its_edge_array(gen, args):
     finally:
         tracemalloc.stop()
     assert peak <= 1.6 * g.indices.nbytes
+
+
+def test_many_copies_build_without_a_python_object_per_copy():
+    # the edges into every copy are one broadcast block; a Python tuple per
+    # copy peaks near 80 MB here, against a 1.6 MB edge array
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gen_min_degree_hard(1, 1, 100_000)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20

@@ -9,6 +9,7 @@ Examples are derandomized and few, so every run draws the same graphs.
 
 import itertools
 import json
+import random
 from unittest import mock
 
 import numpy as np
@@ -67,37 +68,49 @@ def row_runs(draw, max_online=6):
 
 
 def _flat_runs(runs):
-    return [[r for r, row in enumerate(runs) for _ in row],
-            [a for row in runs for a, _ in row], [b for row in runs for _, b in row]]
+    """All runs as one (rows, start, stop) block, in row order."""
+    return ([r for r, row in enumerate(runs) for _ in row],
+            [a for row in runs for a, _ in row], [b for row in runs for _, b in row])
+
+
+def _shuffled_blocks(runs, rnd):
+    """The same runs shuffled, then split into one block per stop value,
+    each with its stop given as a scalar that broadcasts."""
+    flat = [(r, a, b) for r, row in enumerate(runs) for a, b in row]
+    rnd.shuffle(flat)
+    return [([r for r, _, t in flat if t == b], [a for _, a, t in flat if t == b], b)
+            for b in dict.fromkeys(b for _, _, b in flat)]
 
 
 @SETTINGS
-@given(row_runs())
-@example((0, 3, []))
-@example((2, 0, [[], [(0, 0)]]))
-@example((3, 7, [[], [(2, 4), (4, 6)], [(1, 1), (3, 7)]]))
-def test_from_ranges_equals_from_rows_of_the_expanded_runs(case):
+@given(row_runs(), st.randoms(use_true_random=False))
+@example((0, 3, []), random.Random(0))
+@example((2, 0, [[], [(0, 0)]]), random.Random(0))
+@example((3, 7, [[], [(2, 4), (4, 6)], [(1, 1), (3, 7)]]), random.Random(0))
+def test_from_ranges_equals_from_rows_of_the_expanded_runs(case, rnd):
     n_online, n_offline, runs = case
     rows = [[v for a, b in row for v in range(a, b)] for row in runs]
-    g = BipartiteGraph.from_ranges(n_online, n_offline, *_flat_runs(runs))
+    g = BipartiteGraph.from_ranges(n_online, n_offline, _flat_runs(runs))
     assert g == BipartiteGraph.from_rows(n_online, n_offline, rows)
     assert g.adjacency() == rows
+    # runs in any order, across blocks, build the same graph
+    assert BipartiteGraph.from_ranges(n_online, n_offline, *_shuffled_blocks(runs, rnd)) == g
 
 
 @SETTINGS
 @given(row_runs(), st.data())
-def test_from_ranges_refuses_overlapping_or_descending_runs(case, data):
+def test_from_ranges_refuses_overlapping_runs(case, data):
     n_online, n_offline, runs = case
     if n_offline == 0:
         n_offline, runs = 1, [[]] * n_online
     a = data.draw(st.integers(0, n_offline - 1))
     b = data.draw(st.integers(a + 1, n_offline))
     c = data.draw(st.integers(0, b - 1))  # the second run starts before b
-    d = data.draw(st.integers(c + 1, n_offline))
+    d = data.draw(st.integers(max(a, c) + 1, n_offline))  # and ends after a
     r = data.draw(st.integers(0, n_online))
     runs = runs[:r] + [[(a, b), (c, d)]] + runs[r:]
     with pytest.raises(ValueError, match="rows must be sorted"):
-        BipartiteGraph.from_ranges(n_online + 1, n_offline, *_flat_runs(runs))
+        BipartiteGraph.from_ranges(n_online + 1, n_offline, _flat_runs(runs))
 
 
 @SETTINGS
