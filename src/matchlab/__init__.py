@@ -10,7 +10,6 @@ from matchlab.graphs import (
     BipartiteGraph,
     brute_force_maximum_matching,
     graph_from_dict,
-    graph_to_dict,
     matching_size,
     maximum_matching,
     verify_matching,
@@ -22,7 +21,6 @@ __all__ = [
     "brute_force_maximum_matching",
     "derive_seed",
     "graph_from_dict",
-    "graph_to_dict",
     "make_rng",
     "matching_size",
     "maximum_matching",

@@ -15,11 +15,13 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from matchlab.experiments import (DEFAULT_SEED, ALGORITHMS, REPRODUCTIONS,
                                   ExperimentSpec, reproduce, run_experiment,
                                   summarize_rows)
 from matchlab.families import FAMILIES, TYPE_FAMILIES, build_family, params_label
-from matchlab.graphs import graph_from_dict, graph_to_dict, matching_size, maximum_matching
+from matchlab.graphs import graph_from_dict, matching_size, maximum_matching
 from matchlab.online import TIE_BREAKS
 
 CSV_HEADER = "family,params,algorithm,seed,trial,alg_size,opt_size,ratio"
@@ -61,12 +63,12 @@ def _default_seed() -> int:
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _num(x: float) -> str:
@@ -74,13 +76,28 @@ def _num(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
+def graph_document(g, rest: dict):
+    """Yield json.dumps(doc, indent=2) + newline in pieces, doc being the schema,
+    g's counts, its rows as `adj`, then `rest`; each row is joined from a table of
+    id strings in json's layout, so no Python object per edge is made."""
+    doc = {"schema": 1, "n_online": g.n_online, "n_offline": g.n_offline, "adj": "\0", **rest}
+    head, _, tail = json.dumps(doc, indent=2).partition(json.dumps("\0"))  # a placeholder
+    yield head
+    names = np.array([str(v) for v in range(g.n_offline)], dtype=object)
+    ptr = g.indptr.tolist()
+    for u, (a, b) in enumerate(zip(ptr[:-1], ptr[1:])):
+        ids = ",\n      ".join(names[g.indices[a:b]])
+        yield (",\n    " if u else "[\n    ") + (f"[\n      {ids}\n    ]" if ids else "[]")
+    yield ("\n  ]" if g.n_online else "[]") + tail + "\n"
+
+
 def cmd_generate(args) -> int:
     params = _parse_params(args.params)
     g, desc = build_family(args.family, params)
-    doc = {"schema": 1, **graph_to_dict(g), "descriptor": desc.to_dict()}
+    rest = {"descriptor": desc.to_dict()}
     if args.family in TYPE_FAMILIES:
-        doc["families"] = {"family": args.family, "params": params}
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        rest["families"] = {"family": args.family, "params": params}
+    _emit(graph_document(g, rest), args.out)
     return 0
 
 
@@ -104,14 +121,14 @@ def cmd_run(args) -> int:
         else:
             lines = [f"{label},summary,{_num(summary['alg_mean'])},"
                      f"{_num(summary['opt_mean'])},{_num(summary['ratio'])}"]
-        _emit("\n".join([CSV_HEADER, *lines]) + "\n", args.out)
+        _emit(["\n".join([CSV_HEADER, *lines]) + "\n"], args.out)
         return 0
     doc = {"schema": 1, "spec": spec.to_dict(),
            "summary": {**head, "trial": "summary", **summary}}
     if args.per_trial:
         doc["rows"] = [{**head, "trial": t, "alg_size": a, "opt_size": o,
                         "ratio": a / o} for t, a, o in rows]
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit([json.dumps(doc, indent=2) + "\n"], args.out)
     return 0
 
 

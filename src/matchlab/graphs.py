@@ -4,8 +4,9 @@ Graphs are immutable once constructed and stored in compressed sparse row
 form: online vertex u sees offline vertices indices[indptr[u]:indptr[u+1]],
 strictly increasing, for u in 0..n_online-1 and ids in 0..n_offline-1.
 The transposed (CSC) arrays index the offline side the same way and are
-built on first use.  Generated families are written straight into one
-`indices` array from runs of consecutive ids (`from_ranges`).
+built on first use by scipy, from a csr_array over the graph's own int64
+buffers.  Generated families are written straight into one `indices`
+array from runs of consecutive ids (`from_ranges`).
 
 A matching is an int64 partner array over the online side: partner[u] is
 u's offline partner, -1 when u is unmatched.
@@ -85,8 +86,9 @@ class BipartiteGraph:
 
     @cached_property
     def indices_offline(self) -> np.ndarray:
-        # CSC: offline -> sorted online neighbors, by scipy's linear-time transpose
-        a = self.to_csr().tocsc().indices.astype(np.int64)
+        # CSC: offline -> sorted online neighbors, by scipy's linear-time
+        # transpose; the cast copies only if a scipy downcasts to int32
+        a = self.to_csr().tocsc().indices.astype(np.int64, copy=False)
         a.flags.writeable = False
         return a
 
@@ -132,16 +134,17 @@ class BipartiteGraph:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
     def adjacency(self) -> list[list[int]]:
-        """Plain-list copy of the adjacency, for serialization."""
+        """Plain-list copy of the adjacency, for the brute-force oracle."""
         ptr = self.indptr.tolist()
         return [self.indices[a:b].tolist() for a, b in zip(ptr[:-1], ptr[1:])]
 
     def to_csr(self):
-        """The adjacency as a scipy.sparse.csr_matrix of int8 ones."""
-        from scipy.sparse import csr_matrix
+        """The adjacency as a scipy csr_array of int8 ones; it shares the
+        graph's int64 indptr and indices (csr_matrix would downcast them)."""
+        from scipy.sparse import csr_array
         data = np.ones(self.n_edges, dtype=np.int8)
-        return csr_matrix((data, self.indices, self.indptr),
-                          shape=(self.n_online, self.n_offline))
+        return csr_array((data, self.indices, self.indptr),
+                         shape=(self.n_online, self.n_offline))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BipartiteGraph):
@@ -223,11 +226,6 @@ def check_size(n_online: int, n_offline: int, n_edges: int) -> None:
                          f"above the cap of {MAX_VERTICES} per side")
     if n_edges > MAX_EDGES:
         raise ValueError(f"{n_edges} edges, above the cap of {MAX_EDGES}")
-
-
-def graph_to_dict(g: BipartiteGraph) -> dict:
-    return {"n_online": g.n_online, "n_offline": g.n_offline,
-            "adj": g.adjacency()}
 
 
 def graph_from_dict(d: dict) -> BipartiteGraph:

@@ -77,8 +77,8 @@ def test_criterion_02_multi_pass_lower_bound_on_random_graphs():
 def _exact_and_band(name, lo, hi, size, large):
     # the reproduction holds the mean at the pinned size to 3 standard
     # errors of its exact value; the pinned band is applied to the exact
-    # ratio at a large size
-    res = reproduce(name, seed=SEED)
+    # ratio at a large size; two workers give the same output as one
+    res = reproduce(name, seed=SEED, workers=2)
     v = res.values
     limit = v["limit_ratio"]
     ok = res.passed and lo - 1e-12 <= limit <= hi + 1e-12
@@ -168,8 +168,9 @@ def test_criterion_09_greedy_fraction_on_staircase_types():
 def test_criterion_10_degree_rule_band_on_padded_hard_family():
     t0 = time.perf_counter()
     # the reproduction holds the alg and sampled-optimum means each to 3
-    # standard errors of their exact values
-    res = reproduce("mindegree-iid", seed=SEED)
+    # standard errors of their exact values; two workers give the same
+    # output as one
+    res = reproduce("mindegree-iid", seed=SEED, workers=2)
     v = res.values
     off_alg = (v["alg_mean"] - v["exact_alg"]) / v["alg_stderr"]
     off_opt = (v["opt_mean"] - v["exact_opt"]) / v["opt_stderr"]

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import pytest
@@ -116,6 +117,22 @@ def test_generate_emits_graph_descriptor_and_type_metadata(run_cli, tmp_path):
     assert res.returncode == 0 and res.stdout == ""
     doc = json.loads(out.read_text())
     assert doc["families"] == {"family": "goelmehta", "params": {"L": 2, "N": 3}}
+
+
+def test_generate_streams_without_a_python_int_per_edge(tmp_path):
+    # bp b=40 has 323,280 edges; a list of Python ints for them, and the
+    # json.dumps string built from it, peaked near 37 MiB
+    out = tmp_path / "bp40.json"
+    assert cli.main(["generate", "bp", "b=40", "--out", str(out)]) == 0  # caches the family
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert cli.main(["generate", "bp", "b=40", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert json.loads(out.read_text())["n_online"] == 3280
 
 
 def test_oracle_prints_the_maximum_matching_size(run_cli, tmp_path):

@@ -1,13 +1,17 @@
 """Graph container, matchings, and the optimum oracles."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from matchlab import graphs
+from matchlab.cli import graph_document
+from matchlab.families import gen_besser_poloczek
 from matchlab.graphs import (BRUTE_FORCE_MAX_ONLINE, BipartiteGraph,
                              brute_force_maximum_matching, graph_from_dict,
-                             graph_to_dict, matching_size, maximum_matching,
-                             verify_matching)
+                             matching_size, maximum_matching, verify_matching)
 from matchlab.rng import derive_seed, make_rng
 
 from conftest import offline_neighbors, random_bipartite
@@ -72,11 +76,33 @@ def test_both_side_indexes_agree_on_fuzz_graphs():
         assert len(edges) == g.n_edges
 
 
+def test_scipy_views_share_the_graph_buffers():
+    g = BipartiteGraph.from_rows(3, 4, [[0, 2], [], [1, 2, 3]])
+    csr = g.to_csr()
+    assert np.shares_memory(csr.indices, g.indices)
+    assert np.shares_memory(csr.indptr, g.indptr)
+    assert csr.indices.dtype == csr.indptr.dtype == np.int64
+
+
+def test_the_transpose_peaks_near_the_size_of_its_result():
+    # csr_matrix downcast to int32, transposed, then recast: 1.51x
+    import scipy.sparse  # noqa: F401 -- the import's own allocations stay untraced
+    g, _ = gen_besser_poloczek(40)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = g.indices_offline
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * result.nbytes
+
+
 def test_adjacency_roundtrip_and_equality():
     g = _fuzz_graph(999, max_online=8)
     h = BipartiteGraph.from_rows(g.n_online, g.n_offline, g.adjacency())
     assert g == h
-    assert graph_from_dict(graph_to_dict(g)) == g
+    assert graph_from_dict(json.loads("".join(graph_document(g, {})))) == g
     with pytest.raises(ValueError):
         graph_from_dict({"n_online": 1, "adj": [[0]]})
     empty_rows = graph_from_dict({"n_online": 2, "n_offline": 1, "adj": [[], [0]]})

@@ -18,9 +18,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchlab import online, priority
+from matchlab.cli import graph_document
 from matchlab.graphs import (BipartiteGraph, brute_force_maximum_matching,
-                             graph_from_dict, graph_to_dict, matching_size,
-                             maximum_matching, verify_matching)
+                             graph_from_dict, matching_size, maximum_matching,
+                             verify_matching)
 from matchlab.iid import (check_consistency, materialize_instance,
                           run_greedy_iid, run_min_degree, sample_instance)
 from matchlab.online import (TIE_BREAKS, arrival_pass, run_category_advice,
@@ -115,6 +116,8 @@ def test_from_ranges_refuses_overlapping_runs(case, data):
 
 @SETTINGS
 @given(shuffled_rows())
+@example((0, 3, []))                  # no online vertex, no edge
+@example((3, 4, [[], [2], []]))       # empty rows, isolated offline vertices
 def test_csc_arrays_are_the_transpose(case):
     n_online, n_offline, rows = case
     g = BipartiteGraph.from_rows(n_online, n_offline, rows)
@@ -126,6 +129,9 @@ def test_csc_arrays_are_the_transpose(case):
         naive = [u for u in range(n_online) if v in rows[u]]
         assert offline_neighbors(g, v).tolist() == naive
         assert g.offline_degrees[v] == len(naive)
+    row_of = np.repeat(np.arange(n_online), g.online_degrees)
+    assert np.array_equal(g.indices_offline, row_of[np.argsort(g.indices, kind="stable")])
+    assert g.indices_offline.dtype == np.int64
     for a in (g.indptr, g.indices, g.online_degrees, g.offline_degrees,
               g.indptr_offline, g.indices_offline):
         assert not a.flags.writeable
@@ -133,9 +139,17 @@ def test_csc_arrays_are_the_transpose(case):
 
 @SETTINGS
 @given(shuffled_rows())
+@example((0, 3, []))
+@example((3, 4, [[], [2], []]))
 def test_json_round_trip(case):
     g = BipartiteGraph.from_rows(*case)
-    assert graph_from_dict(json.loads(json.dumps(graph_to_dict(g)))) == g
+    rest = {"descriptor": {"family": "x", "blocks": [[0, 1]]}}
+    text = "".join(graph_document(g, rest))
+    # the streamed rows are laid out as json renders the same lists
+    assert text == json.dumps({"schema": 1, "n_online": g.n_online,
+                               "n_offline": g.n_offline,
+                               "adj": g.adjacency(), **rest}, indent=2) + "\n"
+    assert graph_from_dict(json.loads(text)) == g
 
 
 @SETTINGS
