@@ -74,9 +74,14 @@ class BipartiteGraph:
         self.indices = indices
         self.n_edges = int(indices.size)
         self.online_degrees = np.diff(indptr)
-        self.offline_degrees = np.bincount(indices, minlength=n_offline)
-        for a in (self.online_degrees, self.indptr, self.indices, self.offline_degrees):
+        for a in (self.online_degrees, self.indptr, self.indices):
             a.flags.writeable = False
+
+    @cached_property
+    def offline_degrees(self) -> np.ndarray:
+        a = np.bincount(self.indices, minlength=self.n_offline)
+        a.flags.writeable = False
+        return a
 
     @cached_property
     def indptr_offline(self) -> np.ndarray:
@@ -110,23 +115,23 @@ class BipartiteGraph:
         """Graph from blocks of (rows, start, stop) runs of offline ids.
 
         The parts of a block broadcast together: row rows[r] holds ids
-        start[r]..stop[r]-1.  Runs may come in any order; one lexsort puts
-        them in row order, and the constructor refuses overlapping runs.
+        start[r]..stop[r]-1.  Runs may come in any order; empty runs are
+        dropped, one lexsort puts the rest in row order, and the
+        constructor refuses overlapping runs.
         `indices` is one allocation: steps of 1, each run's jump at its
         first edge, then a running sum in place.
         """
         runs = np.concatenate([np.reshape(np.broadcast_arrays(*b), (3, -1)) for b in blocks]
                               or [np.empty((3, 0))], axis=1).astype(np.int64, copy=False)
+        if np.any(runs[2] < runs[1]):
+            raise ValueError("runs must have start <= stop")
+        runs = runs[:, runs[2] > runs[1]]
         runs = runs[:, np.lexsort(runs[1::-1])]  # by row, then start; frees the input
         row, start, stop = runs
-        length = stop - start
-        if np.any(length < 0):
-            raise ValueError("runs must have start <= stop")
-        ends = np.concatenate(([0], np.cumsum(length)))
+        ends = np.concatenate(([0], np.cumsum(stop - start)))
         indptr = ends[np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n_online))))]
         indices = np.ones(ends[-1], np.int64)
-        ran = length > 0
-        indices[ends[:-1][ran]] = start[ran] - np.concatenate(([1], stop[ran][:-1])) + 1
+        indices[ends[:-1]] = start - np.concatenate(([1], stop[:-1])) + 1
         return cls(n_online, n_offline, indptr, np.cumsum(indices, out=indices))
 
     def neighbors(self, u: int) -> np.ndarray:

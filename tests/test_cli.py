@@ -433,6 +433,10 @@ GOLDEN_STDOUT = {
     "--format csv --per-trial":
         {"101": "ec23b31a418d133348a15021d0062662dee06d28b4ea0181bb6e1e67548d3e6d",
          "7": "a1aed41d542c1911ec2036fd711499272f691efc7157f196f173b3866f3c0b34"},
+    "run mindegreehard L=10 N=10 K=20 --algorithm mindegree --trials 3 --tie max-index "
+    "--per-trial":
+        {"101": "18895aaf09552e461f7859c6d44eaa29856beeb937b55b1c81c5c70dbd2a64de",
+         "7": "6313987a7643d74d587c83f335bc7cc6ea0ca3a25abaeff55c0566f342840486"},
     "reproduce fibonacci-ratios":
         {"101": "191310c63e0f05b44f4389d8d17802f3ecb14829940d67238f99a001167befe6",
          "7": "191310c63e0f05b44f4389d8d17802f3ecb14829940d67238f99a001167befe6"},

@@ -37,6 +37,18 @@ def test_type_graph_freezes_offline_degrees():
         tg.offline_degrees[0] = 5
 
 
+def test_instances_never_count_their_offline_degrees():
+    # degrees are counted on first use; the trial runner only builds an
+    # instance and solves its optimum, so it never pays for the bincount
+    tg, _ = gen_min_degree_hard(2, 2, 3)
+    gi = materialize_instance(tg, sample_instance(tg, 7))
+    maximum_matching(gi)
+    assert "offline_degrees" not in gi.__dict__
+    assert np.array_equal(gi.offline_degrees,
+                          np.bincount(gi.indices, minlength=gi.n_offline))
+    assert not gi.offline_degrees.flags.writeable
+
+
 def test_sampling_shape_determinism_and_range():
     tg = _tg([[0], [0], [0]], 1)
     inst = sample_instance(tg, 99)

@@ -10,6 +10,7 @@ Examples are derandomized and few, so every run draws the same graphs.
 import itertools
 import json
 import random
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 
 from matchlab import online, priority
 from matchlab.cli import graph_document
-from matchlab.graphs import (BipartiteGraph, brute_force_maximum_matching,
+from matchlab.graphs import (BRUTE_FORCE_MAX_ONLINE, BipartiteGraph,
+                             brute_force_maximum_matching,
                              graph_from_dict, matching_size, maximum_matching,
                              verify_matching)
 from matchlab.iid import (check_consistency, materialize_instance,
@@ -169,6 +171,22 @@ def test_every_chooser_yields_a_maximal_matching(case, random, seed):
                 p = arrival_pass(g, inst.draws,
                                  *tie_rule(g.n_offline, tie, seed, degree))
                 assert verify_matching(gi, p) and is_maximal(gi, p)
+
+
+@SETTINGS
+@given(shuffled_rows(max_online=16).filter(lambda case: case[0]), st.integers(0, 2 ** 32))
+@example((3, 2, [[1, 0], [1], []]), 0)
+def test_the_instance_optimum_ignores_arrival_order(case, seed):
+    # trial runners score the optimum on the drawn multiset in type order
+    g = BipartiteGraph.from_rows(*case)
+    inst = sample_instance(g, seed)
+    arrived = materialize_instance(g, inst)
+    in_type_order = materialize_instance(g, replace(inst, draws=np.sort(inst.draws)))
+    size = matching_size(maximum_matching(arrived))
+    assert matching_size(maximum_matching(in_type_order)) == size
+    if g.n_online <= BRUTE_FORCE_MAX_ONLINE:
+        for h in (arrived, in_type_order):
+            assert matching_size(brute_force_maximum_matching(h)) == size
 
 
 @SETTINGS
