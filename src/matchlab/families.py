@@ -1,10 +1,12 @@
 """Generators for the structured graph families used in the experiments.
 
 Each generator is pure (no randomness) and returns a graph together with a
-FamilyDescriptor recording the block layout and the known maximum matching
-size.  The canonical arrival order is the identity: vertices are laid out
-top-to-bottom.  Indices inside a block are contiguous, and blocks appear
-in ascending index order, so index-based tie rules act block-adversarially.
+FamilyDescriptor recording the block layout, the known maximum matching
+size, and a perfect matching of the online side built from the blocks,
+which certifies that size without a matching oracle.  The canonical
+arrival order is the identity: vertices are laid out top-to-bottom.
+Indices inside a block are contiguous, and blocks appear in ascending
+index order, so index-based tie rules act block-adversarially.
 `FAMILIES` names each generator for the command line, together with its
 parameter names and its size in closed form.
 """
@@ -34,7 +36,11 @@ def fibonacci(i: int) -> int:
 
 @dataclass(frozen=True)
 class FamilyDescriptor:
-    """Layout metadata of a generated family; frozen, as build_family shares it."""
+    """Layout metadata of a generated family; frozen, as build_family shares it.
+
+    `matching` is a perfect matching of the online side as a read-only
+    partner array.  It is not part of `to_dict` or of equality.
+    """
 
     family: str
     params: dict
@@ -42,6 +48,10 @@ class FamilyDescriptor:
     offline_blocks: dict[str, tuple[int, int]]
     expected_opt: int
     extra: dict = field(default_factory=dict)
+    matching: np.ndarray = field(kw_only=True, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.matching.flags.writeable = False
 
     def to_dict(self) -> dict:
         return {
@@ -69,6 +79,7 @@ def gen_fibonacci_family(k: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
     if not 1 <= k <= 11:
         raise ValueError("k must lie in 1..11 (desk-scale guard)")
     blocks = [(np.arange(2), 0, np.array([2, 1]))]  # u0: v0, v1; u1: v0
+    partner = np.array([1, 0])
     for level in range(1, k):
         a = fibonacci(2 * level + 1)   # side size of the current level
         b = fibonacci(2 * level)
@@ -77,6 +88,7 @@ def gen_fibonacci_family(k: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
                   *[(r, s + a + b, t + a + b) for r, s, t in blocks],  # U1: copy into V3
                   (a + j, a + j, a + j + 1),                           # U2: parallel to V2
                   (a + b + i, i, i + 1)]                               # U3: parallel to V1
+        partner = np.concatenate((partner + a + b, a + j, i))
     side = fibonacci(2 * k + 1)
     g = BipartiteGraph.from_ranges(side, side, *blocks)
     if k == 1:
@@ -89,7 +101,7 @@ def gen_fibonacci_family(k: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
     return g, FamilyDescriptor(
         family="fibonacci", params={"k": k},
         online_blocks=on_blocks, offline_blocks=off_blocks,
-        expected_opt=side)
+        expected_opt=side, matching=partner)
 
 
 def gen_kvv_triangular(n: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
@@ -105,7 +117,7 @@ def gen_kvv_triangular(n: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
     return g, FamilyDescriptor(
         family="kvv", params={"n": n},
         online_blocks={"U": (0, n)}, offline_blocks={"V": (0, n)},
-        expected_opt=n)
+        expected_opt=n, matching=i)
 
 
 def gen_besser_poloczek(b: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
@@ -132,7 +144,8 @@ def gen_besser_poloczek(b: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
     return g, FamilyDescriptor(
         family="besser_poloczek", params={"b": b},
         online_blocks=dict(blocks), offline_blocks=dict(blocks),
-        expected_opt=side, extra={"sub_block_size": b})
+        expected_opt=side, extra={"sub_block_size": b},
+        matching=np.concatenate((b2 + i, i, j)))  # S1 <-> S2 partners, S3 parallel
 
 
 def gen_h_graph(n: int, k: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
@@ -150,7 +163,7 @@ def gen_h_graph(n: int, k: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
         family="hgraph", params={"n": n, "k": k},
         online_blocks={"U": (0, n)},
         offline_blocks={"V1": (0, k), "V2": (k, k + n)},
-        expected_opt=n)
+        expected_opt=n, matching=k + i)
 
 
 def gen_goel_mehta(L: int, N: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
@@ -170,7 +183,7 @@ def gen_goel_mehta(L: int, N: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
         family="goel_mehta", params={"L": L, "N": N},
         online_blocks={f"U{j}": ((j - 1) * L, j * L) for j in range(1, N + 1)},
         offline_blocks={f"V{i}": ((i - 1) * L, i * L) for i in range(1, N + 1)},
-        expected_opt=n)
+        expected_opt=n, matching=u)
 
 
 def gadget_slack(L: int) -> int:
@@ -218,6 +231,8 @@ def gen_min_degree_hard(L: int, N: int, K: int) -> tuple[BipartiteGraph, FamilyD
         online_blocks={"copies": (0, ln * K), "gadgets": (ln * K, n_online)},
         offline_blocks={"copies": (0, ln * K), "gadgets": (ln * K, n_offline)},
         expected_opt=ln * K + N * L,
+        # copy row u -> u, gadget row r -> its gadget's (r mod L)-th column
+        matching=np.concatenate((u, own + np.arange(N * L) % L)),
         extra={"slack": slack, "gadget_capacity": cap,
                "gadget_online": [(ln * K + j * L, ln * K + (j + 1) * L) for j in range(N)],
                "gadget_offline": [(ln * K + j * cap, ln * K + (j + 1) * cap) for j in range(N)],

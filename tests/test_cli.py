@@ -198,6 +198,23 @@ def test_import_and_help_leave_scipy_unimported(args):
     assert "concurrent.futures.process" not in imported  # only a pool needs it
 
 
+def test_runs_on_generated_families_leave_scipy_unimported(tmp_path):
+    # a family's optimum comes from its own matching, not from Hopcroft-Karp;
+    # `oracle` still needs it, and prints the exact size
+    doc = tmp_path / "g.json"
+    code = ("import sys; from matchlab.cli import main\n"
+            "main(['run', 'kvv', 'n=50', '--algorithm', 'ranking', '--trials', '3'])\n"
+            "main(['reproduce', 'fibonacci-ratios'])\n"
+            "main(['generate', 'bp', 'b=2', '--out', sys.argv[1]])\n"
+            "print('scipy' in sys.modules)\n"
+            "main(['oracle', sys.argv[1]])\n")
+    res = run_python("-c", code, str(doc))
+    assert res.returncode == 0
+    assert '"opt_mean": 50.0,' in res.stdout
+    assert "PASS: fibonacci-ratios" in res.stdout
+    assert res.stdout.splitlines()[-2:] == ["False", "12"]  # 2b^2 + 2b at b=2
+
+
 def test_workers_are_capped_at_trials_and_cpu_count(monkeypatch):
     asked = []
 

@@ -6,14 +6,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from matchlab import cli
+from matchlab.experiments import certified_opt
 from matchlab.families import (FAMILIES, MAX_FIB_INDEX, FamilyDescriptor,
                                build_family, fibonacci, gadget_slack,
                                gen_besser_poloczek, gen_fibonacci_family,
                                gen_goel_mehta, gen_h_graph,
                                gen_kvv_triangular, gen_min_degree_hard)
 from matchlab.graphs import (MAX_EDGES, MAX_VERTICES, BipartiteGraph,
-                             matching_size, maximum_matching)
+                             matching_size, maximum_matching, verify_matching)
 from matchlab.iid import sample_instance, materialize_instance
 from matchlab.rng import derive_seed
 
@@ -290,12 +294,57 @@ def test_repeated_builds_share_one_frozen_pair():
         desc.expected_opt = 5
 
 
+# (family, generator arguments) over small sizes of all six families
+SMALL_FAMILIES = st.one_of(
+    st.tuples(st.just("fibonacci"), st.tuples(st.integers(1, 6))),
+    st.tuples(st.just("kvv"), st.tuples(st.integers(1, 40))),
+    st.tuples(st.just("bp"), st.tuples(st.integers(2, 7))),
+    st.tuples(st.just("hgraph"), st.integers(1, 30).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, n)))),
+    st.tuples(st.just("goelmehta"), st.tuples(st.integers(1, 6), st.integers(1, 6))),
+    st.tuples(st.just("mindegreehard"),
+              st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3))))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(SMALL_FAMILIES, st.data())
+def test_each_family_certifies_its_optimum_with_its_own_matching(case, data):
+    family, args = case
+    g, desc = FAMILIES[family][0](*args)
+    assert verify_matching(g, desc.matching)
+    assert (certified_opt(g, desc) == matching_size(desc.matching) == desc.expected_opt
+            == g.n_online == matching_size(maximum_matching(g)))
+    # unmatched, a non-edge, or another vertex's partner: each must raise
+    u = data.draw(st.integers(0, g.n_online - 1))
+    wrong = [-1, *np.setdiff1d(np.arange(g.n_offline), g.neighbors(u))[:1]]
+    if g.n_online > 1:
+        wrong.append(desc.matching[(u + 1) % g.n_online])
+    for v in wrong:
+        bad = desc.matching.copy()
+        bad[u] = v
+        with pytest.raises(ValueError, match="not a perfect matching"):
+            certified_opt(g, dataclasses.replace(desc, matching=bad))
+
+
+def test_a_run_refuses_a_family_whose_matching_fails(monkeypatch, capsys):
+    def broken(n):
+        g, desc = gen_kvv_triangular(n)
+        return g, dataclasses.replace(desc, matching=np.roll(desc.matching, 1))
+    monkeypatch.setitem(FAMILIES, "kvv", (broken, *FAMILIES["kvv"][1:]))
+    assert cli.main(["run", "kvv", "n=5", "--algorithm", "greedy"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "is not a perfect matching of the online side" in err
+
+
 # Reference generators: one neighbour array per online vertex, joined by
-# from_rows.  The generators in matchlab.families compute the same rows as
-# runs of consecutive offline ids and must build equal graphs.
+# from_rows, and one partner per online vertex.  The generators in
+# matchlab.families compute the same rows as runs of consecutive offline
+# ids and their partners as arrays, and must build equal graphs and
+# matchings.
 
 def rows_fibonacci_family(k):
     adj = [np.array([0, 1]), np.array([0])]
+    partner = [1, 0]
     top = bot = 0
     for level in range(1, k):
         a = fibonacci(2 * level + 1)
@@ -309,6 +358,8 @@ def rows_fibonacci_family(k):
         for i in range(a):             # U3: parallel to V1
             new_adj.append(np.array([i]))
         adj = new_adj
+        partner = ([p + a + b for p in partner] + [a + i for i in range(b)]
+                   + list(range(a)))
         top, bot = a, b
     side = fibonacci(2 * k + 1)
     g = BipartiteGraph.from_rows(side, side, adj)
@@ -319,14 +370,15 @@ def rows_fibonacci_family(k):
         off_blocks = {"V1": (0, top), "V2": (top, top + bot), "V3": (top + bot, side)}
     return g, FamilyDescriptor(family="fibonacci", params={"k": k},
                                online_blocks=on_blocks, offline_blocks=off_blocks,
-                               expected_opt=side)
+                               expected_opt=side, matching=np.array(partner))
 
 
 def rows_kvv_triangular(n):
     g = BipartiteGraph.from_rows(n, n, [np.arange(i, n) for i in range(n)])
     return g, FamilyDescriptor(family="kvv", params={"n": n},
                                online_blocks={"U": (0, n)},
-                               offline_blocks={"V": (0, n)}, expected_opt=n)
+                               offline_blocks={"V": (0, n)}, expected_opt=n,
+                               matching=np.arange(n))
 
 
 def rows_besser_poloczek(b):
@@ -345,7 +397,10 @@ def rows_besser_poloczek(b):
     blocks = {"S1": (0, b2), "S2": (b2, 2 * b2), "S3": (2 * b2, side)}
     return g, FamilyDescriptor(family="besser_poloczek", params={"b": b},
                                online_blocks=dict(blocks), offline_blocks=dict(blocks),
-                               expected_opt=side, extra={"sub_block_size": b})
+                               expected_opt=side, extra={"sub_block_size": b},
+                               matching=np.array([b2 + i for i in range(b2)]
+                                                 + [i for i in range(b2)]
+                                                 + [2 * b2 + j for j in range(2 * b)]))
 
 
 def rows_h_graph(n, k):
@@ -355,7 +410,7 @@ def rows_h_graph(n, k):
     return g, FamilyDescriptor(family="hgraph", params={"n": n, "k": k},
                                online_blocks={"U": (0, n)},
                                offline_blocks={"V1": (0, k), "V2": (k, k + n)},
-                               expected_opt=n)
+                               expected_opt=n, matching=k + np.arange(n))
 
 
 def rows_goel_mehta(L, N):
@@ -365,7 +420,7 @@ def rows_goel_mehta(L, N):
         family="goel_mehta", params={"L": L, "N": N},
         online_blocks={f"U{j}": ((j - 1) * L, j * L) for j in range(1, N + 1)},
         offline_blocks={f"V{i}": ((i - 1) * L, i * L) for i in range(1, N + 1)},
-        expected_opt=n)
+        expected_opt=n, matching=np.arange(n))
 
 
 def rows_min_degree_hard(L, N, K):
@@ -375,6 +430,7 @@ def rows_min_degree_hard(L, N, K):
     n_online = ln * K + N * L
     n_offline = ln * K + N * cap
     adj = []
+    partner = list(range(ln * K))  # each copy row's own column
     for i in range(K):
         base = i * ln
         for u in range(ln):
@@ -390,14 +446,15 @@ def rows_min_degree_hard(L, N, K):
         own = np.arange(ostart, ostart + cap)
         copies = [np.arange(i * ln, i * ln + j * L) for i in range(K)]
         row = np.concatenate(copies + [own])
-        for _ in range(L):
+        for r in range(L):
             adj.append(row)
+            partner.append(ostart + r)
     g = BipartiteGraph.from_rows(n_online, n_offline, adj)
     return g, FamilyDescriptor(
         family="min_degree_hard", params={"L": L, "N": N, "K": K},
         online_blocks={"copies": (0, ln * K), "gadgets": (ln * K, n_online)},
         offline_blocks={"copies": (0, ln * K), "gadgets": (ln * K, n_offline)},
-        expected_opt=ln * K + N * L,
+        expected_opt=ln * K + N * L, matching=np.array(partner),
         extra={"slack": slack, "gadget_capacity": cap,
                "gadget_online": gadget_online, "gadget_offline": gadget_offline,
                "copy_online": [(i * ln, (i + 1) * ln) for i in range(K)],
@@ -422,6 +479,8 @@ def test_range_generators_equal_the_row_list_references(gen, reference, args):
     ref_g, ref_desc = reference(*args)
     assert g == ref_g
     assert desc.to_dict() == ref_desc.to_dict()
+    assert np.array_equal(desc.matching, ref_desc.matching)
+    assert desc.matching.dtype == np.int64 and not desc.matching.flags.writeable
 
 
 @pytest.mark.parametrize("gen,args", [(gen_besser_poloczek, (40,)),

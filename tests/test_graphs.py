@@ -8,7 +8,7 @@ import pytest
 
 from matchlab import graphs
 from matchlab.cli import graph_document
-from matchlab.families import gen_besser_poloczek
+from matchlab.families import gen_besser_poloczek, gen_kvv_triangular
 from matchlab.graphs import (BRUTE_FORCE_MAX_ONLINE, BipartiteGraph,
                              brute_force_maximum_matching, graph_from_dict,
                              matching_size, maximum_matching, verify_matching)
@@ -135,6 +135,20 @@ def test_graph_from_dict_refuses_documents_above_the_edge_cap(monkeypatch):
         graph_from_dict(doc)
     monkeypatch.setattr(graphs, "MAX_EDGES", 3)
     assert graph_from_dict(doc).n_edges == 3
+
+
+def test_offline_degrees_are_counted_without_copying_the_edges():
+    # np.bincount copies a read-only input: 8 MB of `indices` here
+    g, _ = gen_kvv_triangular(1414)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        degrees = g.offline_degrees
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert g.indices.nbytes > 8 * 10**6 and peak < 2 * 2**20
+    assert np.array_equal(degrees, np.arange(1, 1415))
 
 
 def test_matching_size_counts_matched_online_vertices():

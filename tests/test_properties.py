@@ -210,6 +210,34 @@ def test_every_runner_returns_a_valid_partner_array(case, random, seed):
         assert verify_matching(h, p)
 
 
+def _loop_verify_matching(g, partner):
+    """verify_matching with a Python loop over the matched edges: the reference."""
+    if partner.shape != (g.n_online,) or partner.dtype.kind not in "iu":
+        return False
+    us = np.flatnonzero(partner != -1)
+    vs = partner[us]
+    if np.any((vs < 0) | (vs >= g.n_offline)) or np.unique(vs).size != vs.size:
+        return False
+    return all(v in g.neighbors(u) for u, v in zip(us.tolist(), vs.tolist()))
+
+
+@SETTINGS
+@given(shuffled_rows(), st.data())
+def test_verify_matching_agrees_with_the_loop_reference(case, data):
+    # a maximum matching, then edits that may give it an id out of range,
+    # a repeated partner or a non-edge, a wrong shape or a wrong dtype
+    g = BipartiteGraph.from_rows(*case)
+    partner = brute_force_maximum_matching(g)
+    for _ in range(data.draw(st.integers(0, 2)) if g.n_online else 0):
+        partner[data.draw(st.integers(0, g.n_online - 1))] = data.draw(
+            st.integers(-2, g.n_offline))
+    shape = data.draw(st.sampled_from(["1-D", "short", "long", "2-D"]))
+    partner = {"1-D": partner, "short": partner[:-1], "long": np.append(partner, -1),
+               "2-D": partner[None]}[shape]
+    partner = partner.astype(data.draw(st.sampled_from([np.int64, np.int8, np.float64])))
+    assert verify_matching(g, partner) == _loop_verify_matching(g, partner)
+
+
 def _shuffled(random, n):
     """A uniform order of 0..n-1 drawn from a hypothesis `random`."""
     return np.array(random.sample(range(n), n), dtype=np.int64)
