@@ -1,14 +1,15 @@
 """Generators for the structured graph families used in the experiments.
 
 Each generator is pure (no randomness) and returns a graph together with a
-FamilyDescriptor recording the block layout, the known maximum matching
-size, and a perfect matching of the online side built from the blocks,
-which certifies that size without a matching oracle.  The canonical
-arrival order is the identity: vertices are laid out top-to-bottom.
-Indices inside a block are contiguous, and blocks appear in ascending
-index order, so index-based tie rules act block-adversarially.
-`FAMILIES` names each generator for the command line, together with its
-parameter names and its size in closed form.
+FamilyDescriptor recording the block layout and a perfect matching of the
+online side built from the blocks.  That matching certifies the maximum
+matching size, the online side, without a matching oracle: `build_family`
+verifies it once, when it generates the family.  The canonical arrival
+order is the identity: vertices are laid out top-to-bottom.  Indices
+inside a block are contiguous, and blocks appear in ascending index
+order, so index-based tie rules act block-adversarially.  `FAMILIES`
+names each generator for the command line, together with its parameter
+names and its size in closed form.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from matchlab.graphs import BipartiteGraph, check_size
+from matchlab.graphs import BipartiteGraph, check_size, matching_size, verify_matching
 
 MAX_FIB_INDEX = 92  # largest index whose value fits in a signed 64-bit int
 
@@ -39,14 +40,14 @@ class FamilyDescriptor:
     """Layout metadata of a generated family; frozen, as build_family shares it.
 
     `matching` is a perfect matching of the online side as a read-only
-    partner array.  It is not part of `to_dict` or of equality.
+    partner array.  It is not part of equality, and `to_dict` gives only
+    its size, the maximum matching size.
     """
 
     family: str
     params: dict
     online_blocks: dict[str, tuple[int, int]]
     offline_blocks: dict[str, tuple[int, int]]
-    expected_opt: int
     extra: dict = field(default_factory=dict)
     matching: np.ndarray = field(kw_only=True, compare=False, repr=False)
 
@@ -59,7 +60,7 @@ class FamilyDescriptor:
             "params": dict(self.params),
             "online_blocks": {k: list(v) for k, v in self.online_blocks.items()},
             "offline_blocks": {k: list(v) for k, v in self.offline_blocks.items()},
-            "expected_opt": self.expected_opt,
+            "expected_opt": matching_size(self.matching),
             "arrival": "identity",
             "extra": {k: v for k, v in self.extra.items()},
         }
@@ -100,8 +101,7 @@ def gen_fibonacci_family(k: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
         off_blocks = {"V1": (0, top), "V2": (top, top + bot), "V3": (top + bot, side)}
     return g, FamilyDescriptor(
         family="fibonacci", params={"k": k},
-        online_blocks=on_blocks, offline_blocks=off_blocks,
-        expected_opt=side, matching=partner)
+        online_blocks=on_blocks, offline_blocks=off_blocks, matching=partner)
 
 
 def gen_kvv_triangular(n: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
@@ -116,8 +116,7 @@ def gen_kvv_triangular(n: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
     g = BipartiteGraph.from_ranges(n, n, (i, i, n))
     return g, FamilyDescriptor(
         family="kvv", params={"n": n},
-        online_blocks={"U": (0, n)}, offline_blocks={"V": (0, n)},
-        expected_opt=n, matching=i)
+        online_blocks={"U": (0, n)}, offline_blocks={"V": (0, n)}, matching=i)
 
 
 def gen_besser_poloczek(b: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
@@ -144,7 +143,7 @@ def gen_besser_poloczek(b: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
     return g, FamilyDescriptor(
         family="besser_poloczek", params={"b": b},
         online_blocks=dict(blocks), offline_blocks=dict(blocks),
-        expected_opt=side, extra={"sub_block_size": b},
+        extra={"sub_block_size": b},
         matching=np.concatenate((b2 + i, i, j)))  # S1 <-> S2 partners, S3 parallel
 
 
@@ -162,8 +161,7 @@ def gen_h_graph(n: int, k: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
     return g, FamilyDescriptor(
         family="hgraph", params={"n": n, "k": k},
         online_blocks={"U": (0, n)},
-        offline_blocks={"V1": (0, k), "V2": (k, k + n)},
-        expected_opt=n, matching=k + i)
+        offline_blocks={"V1": (0, k), "V2": (k, k + n)}, matching=k + i)
 
 
 def gen_goel_mehta(L: int, N: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
@@ -183,7 +181,7 @@ def gen_goel_mehta(L: int, N: int) -> tuple[BipartiteGraph, FamilyDescriptor]:
         family="goel_mehta", params={"L": L, "N": N},
         online_blocks={f"U{j}": ((j - 1) * L, j * L) for j in range(1, N + 1)},
         offline_blocks={f"V{i}": ((i - 1) * L, i * L) for i in range(1, N + 1)},
-        expected_opt=n, matching=u)
+        matching=u)
 
 
 def gadget_slack(L: int) -> int:
@@ -230,7 +228,6 @@ def gen_min_degree_hard(L: int, N: int, K: int) -> tuple[BipartiteGraph, FamilyD
         family="min_degree_hard", params={"L": L, "N": N, "K": K},
         online_blocks={"copies": (0, ln * K), "gadgets": (ln * K, n_online)},
         offline_blocks={"copies": (0, ln * K), "gadgets": (ln * K, n_offline)},
-        expected_opt=ln * K + N * L,
         # copy row u -> u, gadget row r -> its gadget's (r mod L)-th column
         matching=np.concatenate((u, own + np.arange(N * L) % L)),
         extra={"slack": slack, "gadget_capacity": cap,
@@ -278,7 +275,9 @@ def build_family(family: str, params: dict) -> tuple[BipartiteGraph, FamilyDescr
     goes through graphs.check_size, so a family above the vertex or edge
     cap is refused before anything is allocated.  Every call validates;
     a repeat of the last family generated returns the same (graph,
-    descriptor) pair, so a run shares one graph and its CSC.
+    descriptor) pair, so a run shares one graph and its CSC.  A new pair
+    is cached only if its matching is a perfect matching of the online
+    side (`verify_matching`); one that fails is a generator bug and raises.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; "
@@ -294,7 +293,11 @@ def build_family(family: str, params: dict) -> tuple[BipartiteGraph, FamilyDescr
     key = (gen, *args)
     if key not in _built:
         _built.clear()
-        _built[key] = gen(*args)
+        g, desc = gen(*args)
+        if matching_size(desc.matching) != g.n_online or not verify_matching(g, desc.matching):
+            raise ValueError(f"family {family!r} {params_label(family, params)}: its matching "
+                             f"is not a perfect matching of the online side")
+        _built[key] = g, desc
     return _built[key]
 
 

@@ -14,9 +14,10 @@ u's offline partner, -1 when u is unmatched.
 Two maximum-matching routes are kept deliberately separate: a fast
 Hopcroft-Karp oracle (scipy, imported on first use) for graphs with no
 known optimum, such as sampled IID instances and graph documents, and an
-independent exhaustive-search oracle to cross-check it on small ones.
-A generated family needs neither: `verify_matching` checks the perfect
-matching its generator builds.
+independent exhaustive-search oracle, which reads its rows straight from
+`indptr` and `indices`, to cross-check it on small ones.  A generated
+family needs neither: `families.build_family` checks the perfect matching
+its generator builds with `verify_matching`.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class BipartiteGraph:
             raise ValueError("vertex ids must be integers")
         indptr, indices = (a.astype(np.int64, copy=False) for a in (indptr, indices))
         if indptr.shape != (n_online + 1,) or indices.ndim != 1:
-            raise ValueError("adjacency must have one row per online vertex")
+            raise ValueError("the graph must have one row per online vertex")
         if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
             raise ValueError("indptr must rise from 0 to the edge count")
         if indices.size and (indices.min() < 0 or indices.max() >= n_offline):
@@ -143,13 +144,8 @@ class BipartiteGraph:
         """Sorted offline neighbors of online vertex u (read-only view)."""
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
-    def adjacency(self) -> list[list[int]]:
-        """Plain-list copy of the adjacency, for the brute-force oracle."""
-        ptr = self.indptr.tolist()
-        return [self.indices[a:b].tolist() for a, b in zip(ptr[:-1], ptr[1:])]
-
     def to_csr(self):
-        """The adjacency as a scipy csr_array of int8 ones; it shares the
+        """The graph as a scipy csr_array of int8 ones; it shares the
         graph's int64 indptr and indices (csr_matrix would downcast them)."""
         from scipy.sparse import csr_array
         data = np.ones(self.n_edges, dtype=np.int8)
@@ -209,8 +205,8 @@ def verify_matching(g: BipartiteGraph, partner: np.ndarray) -> bool:
 def maximum_matching(g: BipartiteGraph) -> np.ndarray:
     """Partner array of a maximum-cardinality matching (Hopcroft-Karp, scipy).
 
-    Deterministic for a fixed graph: adjacency rows are stored sorted, so
-    the CSR handed to the solver is canonical.
+    Deterministic for a fixed graph: rows are stored sorted, so the CSR
+    handed to the solver is canonical.
     """
     if g.n_edges == 0:
         return np.full(g.n_online, -1, dtype=np.int64)
@@ -231,11 +227,12 @@ def brute_force_maximum_matching(g: BipartiteGraph) -> np.ndarray:
         raise ValueError(
             f"brute force limited to n_online <= {BRUTE_FORCE_MAX_ONLINE}")
     level: dict[int, tuple[int, ...]] = {0: ()}
-    for row in g.adjacency():
+    ptr, ids = g.indptr.tolist(), g.indices.tolist()
+    for a, b in zip(ptr[:-1], ptr[1:]):
         nxt: dict[int, tuple[int, ...]] = {}
         for used, partners in level.items():
             nxt.setdefault(used, partners + (-1,))
-            for v in row:
+            for v in ids[a:b]:
                 if not used >> v & 1:
                     nxt.setdefault(used | 1 << v, partners + (v,))
         level = nxt

@@ -1,7 +1,7 @@
 """Matching under known-IID arrivals from a type graph.
 
 An instance draws |U| online arrivals IID uniformly from the type set U;
-each arrival inherits the adjacency of its type and is matched (or lost)
+each arrival inherits the neighbours of its type and is matched (or lost)
 immediately.  The type graph is a plain BipartiteGraph whose online side
 is the type set U.  Decision rules see the arrival's type and the
 still-active offline candidates.  The degree used by the minimum-degree

@@ -1,7 +1,7 @@
 """Shared pytest plumbing for the acceptance summary block, plus the
 position-dependent and size-dependent control rules for the consistency
-checker, the maximality check of a matching, the CSC neighbour lookup and
-the independent-edge random graphs the fuzz tests draw."""
+checker, the maximality check of a matching, the CSR and CSC neighbour
+lookups and the independent-edge random graphs the fuzz tests draw."""
 
 import numpy as np
 
@@ -56,6 +56,11 @@ def is_maximal(g, partner) -> bool:
     taken[partner[partner >= 0]] = True
     return all(partner[u] >= 0 or np.all(taken[g.neighbors(u)])
                for u in range(g.n_online))
+
+
+def neighbor_lists(g) -> list[list[int]]:
+    """Each online vertex's sorted offline neighbours, as plain lists."""
+    return [g.neighbors(u).tolist() for u in range(g.n_online)]
 
 
 def offline_neighbors(g, v: int) -> np.ndarray:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchlab import cli
-from matchlab.experiments import certified_opt
 from matchlab.families import (FAMILIES, MAX_FIB_INDEX, FamilyDescriptor,
                                build_family, fibonacci, gadget_slack,
                                gen_besser_poloczek, gen_fibonacci_family,
@@ -20,6 +20,8 @@ from matchlab.graphs import (MAX_EDGES, MAX_VERTICES, BipartiteGraph,
                              matching_size, maximum_matching, verify_matching)
 from matchlab.iid import sample_instance, materialize_instance
 from matchlab.rng import derive_seed
+
+from conftest import neighbor_lists
 
 
 def _block_sizes(blocks):
@@ -45,8 +47,8 @@ def test_fibonacci_values_and_guards():
 
 def test_fibonacci_family_base_case_is_the_two_by_two_graph():
     g, desc = gen_fibonacci_family(1)
-    assert g.adjacency() == [[0, 1], [0]]
-    assert desc.expected_opt == 2 == matching_size(maximum_matching(g))
+    assert neighbor_lists(g) == [[0, 1], [0]]
+    assert matching_size(desc.matching) == 2 == matching_size(maximum_matching(g))
 
 
 @pytest.mark.parametrize("k", range(1, 8))
@@ -54,7 +56,7 @@ def test_fibonacci_family_sizes_and_perfect_matching(k):
     g, desc = gen_fibonacci_family(k)
     side = fibonacci(2 * k + 1)
     assert g.n_online == g.n_offline == side
-    assert desc.expected_opt == side
+    assert matching_size(desc.matching) == side
     assert matching_size(maximum_matching(g)) == side
 
 
@@ -78,7 +80,7 @@ def test_fibonacci_family_recursive_block_structure(k):
     prev, _ = gen_fibonacci_family(k - 1)
     embedded = [sorted(int(v) - v3[0] for v in g.neighbors(u) if v >= v3[0])
                 for u in range(*u1)]
-    assert embedded == prev.adjacency()
+    assert embedded == neighbor_lists(prev)
     for u in range(*u1):        # U1 is complete to V1
         nb = set(map(int, g.neighbors(u)))
         assert set(range(*v1)) <= nb
@@ -96,11 +98,11 @@ def test_fibonacci_family_parameter_guards():
 
 def test_kvv_triangular_structure():
     g, desc = gen_kvv_triangular(3)
-    assert g.adjacency() == [[0, 1, 2], [1, 2], [2]]
+    assert neighbor_lists(g) == [[0, 1, 2], [1, 2], [2]]
     assert g.online_degrees.tolist() == [3, 2, 1]
-    assert desc.expected_opt == 3
+    assert matching_size(desc.matching) == 3
     big, desc_big = gen_kvv_triangular(200)
-    assert matching_size(maximum_matching(big)) == 200 == desc_big.expected_opt
+    assert matching_size(maximum_matching(big)) == 200 == matching_size(desc_big.matching)
     with pytest.raises(ValueError):
         gen_kvv_triangular(0)
 
@@ -119,7 +121,7 @@ def test_besser_poloczek_matches_independent_construction(b):
         expected.append(sorted([i] + list(range(b2 + blk * b, b2 + blk * b + b))))
     for j in range(2 * b):
         expected.append(sorted(list(range(b2)) + [2 * b2 + j]))
-    assert g.adjacency() == expected
+    assert neighbor_lists(g) == expected
     _assert_blocks_partition(desc.online_blocks, side)
     assert desc.extra["sub_block_size"] == b
 
@@ -133,7 +135,8 @@ def test_besser_poloczek_degrees_and_optimum():
     assert set(deg[b2:2 * b2]) == {b + 1}        # S2, the minimum
     assert set(deg[2 * b2:]) == {b2 + 1}         # S3
     assert int(deg.min()) == b + 1
-    assert matching_size(maximum_matching(g)) == desc.expected_opt == 2 * b2 + 2 * b
+    assert (matching_size(maximum_matching(g)) == matching_size(desc.matching)
+            == 2 * b2 + 2 * b)
     with pytest.raises(ValueError):
         gen_besser_poloczek(1)
 
@@ -141,12 +144,12 @@ def test_besser_poloczek_degrees_and_optimum():
 def test_h_graph_shape_and_optimum():
     g, desc = gen_h_graph(5, 3)
     assert g.n_online == 5 and g.n_offline == 8
-    assert g.adjacency()[0] == [0, 1, 2, 3]
-    assert g.adjacency()[4] == [0, 1, 2, 7]
+    assert g.neighbors(0).tolist() == [0, 1, 2, 3]
+    assert g.neighbors(4).tolist() == [0, 1, 2, 7]
     assert desc.offline_blocks == {"V1": (0, 3), "V2": (3, 8)}
     assert matching_size(maximum_matching(g)) == 5
     flat, _ = gen_h_graph(3, 0)
-    assert flat.adjacency() == [[0], [1], [2]]
+    assert neighbor_lists(flat) == [[0], [1], [2]]
     for n, k in ((0, 0), (2, 3), (2, -1)):
         with pytest.raises(ValueError):
             gen_h_graph(n, k)
@@ -166,7 +169,7 @@ def test_goel_mehta_degree_laws():
     for u in range(L * N):
         j = u // L
         assert g.neighbors(u).tolist() == list(range(j * L, L * N))
-    assert matching_size(maximum_matching(g)) == desc.expected_opt == L * N
+    assert matching_size(maximum_matching(g)) == matching_size(desc.matching) == L * N
     with pytest.raises(ValueError):
         gen_goel_mehta(0, 3)
 
@@ -191,16 +194,16 @@ def test_min_degree_hard_equalizes_copy_degrees():
         assert set(map(int, g.offline_degrees[lo:hi])) == {L}
     assert g.n_online == ln * K + N * L
     assert g.n_offline == ln * K + N * cap
-    assert desc.expected_opt == ln * K + N * L
-    assert matching_size(maximum_matching(g)) == desc.expected_opt
+    assert matching_size(desc.matching) == ln * K + N * L
+    assert matching_size(maximum_matching(g)) == matching_size(desc.matching)
 
 
 def test_min_degree_hard_smallest_case_structure():
     g, desc = gen_min_degree_hard(1, 1, 1)
     cap = 1 + gadget_slack(1)
     assert g.n_online == 2 and g.n_offline == 1 + cap
-    assert g.adjacency()[0] == [0]                       # the lone copy edge
-    assert g.adjacency()[1] == list(range(0, 1 + cap))   # gadget sees both
+    assert g.neighbors(0).tolist() == [0]                       # the lone copy edge
+    assert g.neighbors(1).tolist() == list(range(0, 1 + cap))   # gadget sees both
     with pytest.raises(ValueError):
         gen_min_degree_hard(0, 1, 1)
 
@@ -291,7 +294,7 @@ def test_repeated_builds_share_one_frozen_pair():
     again = build_family("kvv", {"n": np.int64(4)})
     assert again[0] is g and again[1] is desc
     with pytest.raises(dataclasses.FrozenInstanceError):
-        desc.expected_opt = 5
+        desc.family = "kvv2"
 
 
 # (family, generator arguments) over small sizes of all six families
@@ -310,11 +313,12 @@ SMALL_FAMILIES = st.one_of(
 @given(SMALL_FAMILIES, st.data())
 def test_each_family_certifies_its_optimum_with_its_own_matching(case, data):
     family, args = case
-    g, desc = FAMILIES[family][0](*args)
+    gen, names, sizes = FAMILIES[family]
+    g, desc = gen(*args)
     assert verify_matching(g, desc.matching)
-    assert (certified_opt(g, desc) == matching_size(desc.matching) == desc.expected_opt
-            == g.n_online == matching_size(maximum_matching(g)))
-    # unmatched, a non-edge, or another vertex's partner: each must raise
+    assert matching_size(desc.matching) == g.n_online == matching_size(maximum_matching(g))
+    # unmatched, a non-edge, or another vertex's partner: build_family
+    # must refuse each
     u = data.draw(st.integers(0, g.n_online - 1))
     wrong = [-1, *np.setdiff1d(np.arange(g.n_offline), g.neighbors(u))[:1]]
     if g.n_online > 1:
@@ -322,18 +326,28 @@ def test_each_family_certifies_its_optimum_with_its_own_matching(case, data):
     for v in wrong:
         bad = desc.matching.copy()
         bad[u] = v
-        with pytest.raises(ValueError, match="not a perfect matching"):
-            certified_opt(g, dataclasses.replace(desc, matching=bad))
+        corrupt = dataclasses.replace(desc, matching=bad)
+        with mock.patch.dict(FAMILIES, {family: (lambda *_: (g, corrupt), names, sizes)}):
+            with pytest.raises(ValueError, match="not a perfect matching"):
+                build_family(family, dict(zip(names, args)))
 
 
-def test_a_run_refuses_a_family_whose_matching_fails(monkeypatch, capsys):
+def test_a_family_whose_matching_fails_is_refused_and_never_cached(monkeypatch, capsys):
+    calls = []
+
     def broken(n):
+        calls.append(n)
         g, desc = gen_kvv_triangular(n)
         return g, dataclasses.replace(desc, matching=np.roll(desc.matching, 1))
     monkeypatch.setitem(FAMILIES, "kvv", (broken, *FAMILIES["kvv"][1:]))
-    assert cli.main(["run", "kvv", "n=5", "--algorithm", "greedy"]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and "is not a perfect matching of the online side" in err
+    for _ in range(2):
+        with pytest.raises(ValueError, match="family 'kvv' n=5: its matching is not"):
+            build_family("kvv", {"n": 5})
+    assert calls == [5, 5]  # generated again: the refused pair was not cached
+    for argv in (["generate", "kvv", "n=5"], ["run", "kvv", "n=5", "--algorithm", "greedy"]):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "is not a perfect matching of the online side" in err
 
 
 # Reference generators: one neighbour array per online vertex, joined by
@@ -370,15 +384,14 @@ def rows_fibonacci_family(k):
         off_blocks = {"V1": (0, top), "V2": (top, top + bot), "V3": (top + bot, side)}
     return g, FamilyDescriptor(family="fibonacci", params={"k": k},
                                online_blocks=on_blocks, offline_blocks=off_blocks,
-                               expected_opt=side, matching=np.array(partner))
+                               matching=np.array(partner))
 
 
 def rows_kvv_triangular(n):
     g = BipartiteGraph.from_rows(n, n, [np.arange(i, n) for i in range(n)])
     return g, FamilyDescriptor(family="kvv", params={"n": n},
                                online_blocks={"U": (0, n)},
-                               offline_blocks={"V": (0, n)}, expected_opt=n,
-                               matching=np.arange(n))
+                               offline_blocks={"V": (0, n)}, matching=np.arange(n))
 
 
 def rows_besser_poloczek(b):
@@ -397,7 +410,7 @@ def rows_besser_poloczek(b):
     blocks = {"S1": (0, b2), "S2": (b2, 2 * b2), "S3": (2 * b2, side)}
     return g, FamilyDescriptor(family="besser_poloczek", params={"b": b},
                                online_blocks=dict(blocks), offline_blocks=dict(blocks),
-                               expected_opt=side, extra={"sub_block_size": b},
+                               extra={"sub_block_size": b},
                                matching=np.array([b2 + i for i in range(b2)]
                                                  + [i for i in range(b2)]
                                                  + [2 * b2 + j for j in range(2 * b)]))
@@ -410,7 +423,7 @@ def rows_h_graph(n, k):
     return g, FamilyDescriptor(family="hgraph", params={"n": n, "k": k},
                                online_blocks={"U": (0, n)},
                                offline_blocks={"V1": (0, k), "V2": (k, k + n)},
-                               expected_opt=n, matching=k + np.arange(n))
+                               matching=k + np.arange(n))
 
 
 def rows_goel_mehta(L, N):
@@ -420,7 +433,7 @@ def rows_goel_mehta(L, N):
         family="goel_mehta", params={"L": L, "N": N},
         online_blocks={f"U{j}": ((j - 1) * L, j * L) for j in range(1, N + 1)},
         offline_blocks={f"V{i}": ((i - 1) * L, i * L) for i in range(1, N + 1)},
-        expected_opt=n, matching=np.arange(n))
+        matching=np.arange(n))
 
 
 def rows_min_degree_hard(L, N, K):
@@ -454,7 +467,7 @@ def rows_min_degree_hard(L, N, K):
         family="min_degree_hard", params={"L": L, "N": N, "K": K},
         online_blocks={"copies": (0, ln * K), "gadgets": (ln * K, n_online)},
         offline_blocks={"copies": (0, ln * K), "gadgets": (ln * K, n_offline)},
-        expected_opt=ln * K + N * L, matching=np.array(partner),
+        matching=np.array(partner),
         extra={"slack": slack, "gadget_capacity": cap,
                "gadget_online": gadget_online, "gadget_offline": gadget_offline,
                "copy_online": [(i * ln, (i + 1) * ln) for i in range(K)],

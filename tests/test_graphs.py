@@ -14,7 +14,7 @@ from matchlab.graphs import (BRUTE_FORCE_MAX_ONLINE, BipartiteGraph,
                              matching_size, maximum_matching, verify_matching)
 from matchlab.rng import derive_seed, make_rng
 
-from conftest import offline_neighbors, random_bipartite
+from conftest import neighbor_lists, offline_neighbors, random_bipartite
 
 SEED = 24601
 
@@ -100,13 +100,13 @@ def test_the_transpose_peaks_near_the_size_of_its_result():
 
 def test_adjacency_roundtrip_and_equality():
     g = _fuzz_graph(999, max_online=8)
-    h = BipartiteGraph.from_rows(g.n_online, g.n_offline, g.adjacency())
+    h = BipartiteGraph.from_rows(g.n_online, g.n_offline, neighbor_lists(g))
     assert g == h
     assert graph_from_dict(json.loads("".join(graph_document(g, {})))) == g
     with pytest.raises(ValueError):
         graph_from_dict({"n_online": 1, "adj": [[0]]})
     empty_rows = graph_from_dict({"n_online": 2, "n_offline": 1, "adj": [[], [0]]})
-    assert empty_rows.adjacency() == [[], [0]]
+    assert neighbor_lists(empty_rows) == [[], [0]]
 
 
 MALFORMED_GRAPH_DOCS = [

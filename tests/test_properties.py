@@ -20,19 +20,20 @@ from hypothesis import strategies as st
 
 from matchlab import online, priority
 from matchlab.cli import graph_document
+from matchlab.families import gen_min_degree_hard
 from matchlab.graphs import (BRUTE_FORCE_MAX_ONLINE, BipartiteGraph,
                              brute_force_maximum_matching,
                              graph_from_dict, matching_size, maximum_matching,
                              verify_matching)
-from matchlab.iid import (check_consistency, materialize_instance,
+from matchlab.iid import (InstanceSample, check_consistency, materialize_instance,
                           run_greedy_iid, run_min_degree, sample_instance)
 from matchlab.online import (TIE_BREAKS, arrival_pass, run_category_advice,
                              run_greedy, run_ranking, tie_rule)
 from matchlab.priority import run_min_greedy, run_min_ranking, run_min_ranking_fixed
 from matchlab.rng import Draws, make_rng
 
-from conftest import (is_maximal, offline_neighbors, parity_control_chooser,
-                      size_parity_chooser)
+from conftest import (is_maximal, neighbor_lists, offline_neighbors,
+                      parity_control_chooser, size_parity_chooser)
 
 SETTINGS = settings(max_examples=60, derandomize=True, deadline=None,
                     database=None)
@@ -54,7 +55,7 @@ def test_from_rows_sorts_shuffled_rows(case):
     n_online, n_offline, rows = case
     g = BipartiteGraph.from_rows(n_online, n_offline, rows)
     assert g == BipartiteGraph.from_rows(n_online, n_offline, map(sorted, rows))
-    assert g.adjacency() == [sorted(r) for r in rows]
+    assert neighbor_lists(g) == [sorted(r) for r in rows]
 
 
 @st.composite
@@ -95,7 +96,7 @@ def test_from_ranges_equals_from_rows_of_the_expanded_runs(case, rnd):
     rows = [[v for a, b in row for v in range(a, b)] for row in runs]
     g = BipartiteGraph.from_ranges(n_online, n_offline, _flat_runs(runs))
     assert g == BipartiteGraph.from_rows(n_online, n_offline, rows)
-    assert g.adjacency() == rows
+    assert neighbor_lists(g) == rows
     # runs in any order, across blocks, build the same graph
     assert BipartiteGraph.from_ranges(n_online, n_offline, *_shuffled_blocks(runs, rnd)) == g
 
@@ -150,7 +151,7 @@ def test_json_round_trip(case):
     # the streamed rows are laid out as json renders the same lists
     assert text == json.dumps({"schema": 1, "n_online": g.n_online,
                                "n_offline": g.n_offline,
-                               "adj": g.adjacency(), **rest}, indent=2) + "\n"
+                               "adj": neighbor_lists(g), **rest}, indent=2) + "\n"
     assert graph_from_dict(json.loads(text)) == g
 
 
@@ -187,6 +188,19 @@ def test_the_instance_optimum_ignores_arrival_order(case, seed):
     if g.n_online <= BRUTE_FORCE_MAX_ONLINE:
         for h in (arrived, in_type_order):
             assert matching_size(brute_force_maximum_matching(h)) == size
+
+
+@SETTINGS
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)), st.data())
+def test_min_degree_is_greedy_on_the_padded_family_under_max_index_ties(shape, data):
+    # the paper's reduction, per instance: every copy offline vertex has
+    # static degree (N+1)L, every gadget vertex L, and gadget ids sit above
+    # copy ids, so the least degree and the highest index pick the same one
+    g, _ = gen_min_degree_hard(*shape)
+    draws = data.draw(st.lists(st.integers(0, g.n_online - 1), max_size=2 * g.n_online))
+    inst = InstanceSample(np.array(draws, dtype=np.int64))
+    assert np.array_equal(run_min_degree(g, inst, tie_break="max-index"),
+                          run_greedy_iid(g, inst, tie_break="max-index"))
 
 
 @SETTINGS
