@@ -24,10 +24,10 @@ from matchlab.analysis import (FiniteSizeExpectation, TrialStats,
                                expected_padded_sizes, expected_staircase_sizes,
                                expected_y_exact, ode_root, simulate_chain,
                                simulate_rhs_empirical, trial_stats)
-from matchlab.families import TYPE_FAMILIES, build_family, fibonacci, params_label
+from matchlab.families import (TYPE_FAMILIES, build_family, fibonacci,
+                               params_label, type_optimum_bounds)
 from matchlab.graphs import matching_size, maximum_matching
-from matchlab.iid import (gadget_overflow_count, run_greedy_iid,
-                          run_min_degree, sample_instance)
+from matchlab.iid import run_greedy_iid, run_min_degree, sample_instance
 from matchlab.online import (TIE_BREAKS, run_category_advice, run_greedy,
                              run_ranking)
 from matchlab.priority import run_min_greedy, run_min_ranking
@@ -106,28 +106,24 @@ def _run_block(spec: ExperimentSpec, lo: int, hi: int) -> list[tuple[int, int, i
     build_family's one-entry cache, which validate filled; pool workers
     started by fork inherit it, and any other worker builds it once.
     A family's optimum is its online side, as build_family verified the
-    perfect matching it came with; a sampled IID instance has none, so
-    Hopcroft-Karp solves it.
+    perfect matching it came with; a sampled IID instance's is its
+    `type_optimum_bounds`, or Hopcroft-Karp's when the two differ.
     """
-    g, _ = build_family(spec.family, spec.family_params)
+    g, desc = build_family(spec.family, spec.family_params)
     alg, tie = spec.algorithm, spec.tie_break or "lowest-index"
     out: list[tuple[int, int, int]] = []
-    if alg in IID_ALGORITHMS:
-        run = run_min_degree if alg == "mindegree" else run_greedy_iid
-        from matchlab.iid import materialize_instance
-        for t in range(lo, hi):
-            inst = sample_instance(g, derive_seed(spec.seed, 2 * t))
-            p = run(g, inst, tie_break=tie, seed=derive_seed(spec.seed, 2 * t + 1))
-            # the optimum ignores arrival order; in type order twin rows sit
-            # side by side, and Hopcroft-Karp finds its paths much sooner
-            sorted_inst = replace(inst, draws=np.sort(inst.draws))
-            opt = matching_size(maximum_matching(materialize_instance(g, sorted_inst)))
-            out.append((t, matching_size(p), opt))
-        return out
-    opt = g.n_online
     for t in range(lo, hi):
-        ts = derive_seed(spec.seed, t)
-        if alg == "ranking":
+        ts, opt = derive_seed(spec.seed, t), g.n_online
+        if alg in IID_ALGORITHMS:
+            inst = sample_instance(g, derive_seed(spec.seed, 2 * t))
+            run = run_min_degree if alg == "mindegree" else run_greedy_iid
+            p = run(g, inst, tie_break=tie, seed=derive_seed(spec.seed, 2 * t + 1))
+            opt, upper = type_optimum_bounds(desc, inst.draws)
+            if opt != upper:  # an overflow; Hopcroft-Karp is faster in type order
+                from matchlab.iid import materialize_instance
+                sorted_inst = replace(inst, draws=np.sort(inst.draws))
+                opt = matching_size(maximum_matching(materialize_instance(g, sorted_inst)))
+        elif alg == "ranking":
             p = run_ranking(g, None, np.argsort(make_rng(ts).permutation(g.n_offline)))
         elif alg == "greedy":
             p = run_greedy(g, tie_break=tie, seed=ts)
@@ -270,9 +266,9 @@ class StochasticReproduction:
 def _gadget_overflow(spec: ExperimentSpec) -> tuple[tuple[bool, str], dict]:
     """Trials whose sampled instance overflows a gadget: under 1% pass."""
     g, desc = build_family(spec.family, spec.family_params)
-    overflowing = sum(
-        1 for t in range(spec.trials)
-        if gadget_overflow_count(desc, sample_instance(g, derive_seed(spec.seed, 2 * t))) > 0)
+    bounds = (type_optimum_bounds(desc, sample_instance(g, derive_seed(spec.seed, 2 * t)).draws)
+              for t in range(spec.trials))
+    overflowing = sum(lower < upper for lower, upper in bounds)
     frac = overflowing / spec.trials
     ok = frac < 0.01
     line = (f"overflow trials: {overflowing}/{spec.trials} "

@@ -236,6 +236,25 @@ def gen_min_degree_hard(L: int, N: int, K: int) -> tuple[BipartiteGraph, FamilyD
                "copy_online": copies, "copy_offline": list(copies)})
 
 
+def type_optimum_bounds(desc: FamilyDescriptor, draws: np.ndarray) -> tuple[int, int]:
+    """(lower, upper) on the maximum matching of a type family's IID instance.
+
+    Each copy, a staircase of N blocks of L, leaves its Hall deficiency
+    max(0, max over m of (arrivals in its last m blocks - mL)) unmatched;
+    lower matches gadget arrivals up to capacity, upper all: equal, and
+    then exact, unless a gadget overflows.  goel_mehta is one copy, no gadget.
+    """
+    if desc.family not in ("goel_mehta", "min_degree_hard"):
+        raise ValueError(f"family {desc.family!r} is not a type family")
+    L, N, K = desc.params["L"], desc.params["N"], desc.params.get("K", 1)
+    counts = np.bincount(draws // L, minlength=(K + 1) * N)  # copy blocks, then gadgets
+    copies, gadgets = counts[:K * N].reshape(K, N), counts[K * N:]
+    late = np.cumsum(copies[:, ::-1], axis=1) - L * np.arange(1, N + 1)
+    matched = int(copies.sum() - np.maximum(late.max(axis=1), 0).sum())
+    cap = desc.extra.get("gadget_capacity", 0)
+    return matched + int(np.minimum(gadgets, cap).sum()), matched + int(gadgets.sum())
+
+
 # family name -> (generator, canonical parameter order, closed-form
 # (n_online, n_offline, n_edges) of the graph it generates).  Fibonacci
 # level 1 has 3 edges; level l + 1 adds F_{2l+2} (F_{2l+1} + 1) more.

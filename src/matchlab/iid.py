@@ -11,9 +11,9 @@ never shrinks as offline vertices are consumed.
 Decision rules are offline priorities for `online.arrival_pass`: the
 (key, draws) pair of `online.tie_rule`, a rank array under index ties
 and the degree key with a draw stream under random ties.  The kernel
-runs them over the type rows without materializing the instance; only the
-offline optimum needs the instance as a graph.  A run's partner array is
-indexed by arrival position, and arrivals with no active neighbor are lost.
+runs them over the type rows and `families.type_optimum_bounds` scores the
+optimum; only a sample that overflows a gadget is materialized as a graph.
+Partners are indexed by arrival position; arrivals with no active neighbor are lost.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from matchlab.families import FamilyDescriptor
 from matchlab.graphs import BipartiteGraph
 from matchlab.online import arrival_pass, tie_rule
 from matchlab.rng import make_rng
@@ -150,13 +149,3 @@ def check_consistency(g: BipartiteGraph, rule) -> ConsistencyReport:
     return ConsistencyReport(states_checked=states,
                              contexts_checked=sum(map(len, seen.values())),
                              violations=violations)
-
-
-def gadget_overflow_count(desc: FamilyDescriptor, inst: InstanceSample) -> int:
-    """Number of gadgets whose arrivals exceed their offline capacity."""
-    ranges = desc.extra.get("gadget_online")
-    cap = desc.extra.get("gadget_capacity")
-    if ranges is None or cap is None:
-        raise ValueError("descriptor lacks gadget layout metadata")
-    draws = inst.draws
-    return sum(int(((draws >= lo) & (draws < hi)).sum()) > cap for lo, hi in ranges)

@@ -215,6 +215,20 @@ def test_runs_on_generated_families_leave_scipy_unimported(tmp_path):
     assert res.stdout.splitlines()[-2:] == ["False", "12"]  # 2b^2 + 2b at b=2
 
 
+def test_iid_runs_without_an_overflow_leave_scipy_unimported():
+    # a sampled instance's optimum comes from its block counts; goelmehta
+    # has no gadget, so Hopcroft-Karp never runs
+    code = ("import sys; from matchlab.cli import main\n"
+            "main(['run', 'goelmehta', 'L=3', 'N=3', '--algorithm', 'greedy-iid'])\n"
+            "main(['reproduce', 'greedy-goelmehta'])\n"
+            "print('scipy' in sys.modules)\n")
+    res = run_python("-c", code)
+    assert res.returncode == 0
+    assert '"algorithm": "greedy-iid"' in res.stdout
+    assert "PASS: greedy-goelmehta" in res.stdout
+    assert res.stdout.splitlines()[-1] == "False"
+
+
 def test_workers_are_capped_at_trials_and_cpu_count(monkeypatch):
     asked = []
 

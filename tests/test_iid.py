@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from matchlab import iid
+from matchlab import experiments, iid
 from matchlab.experiments import ExperimentSpec, run_experiment
-from matchlab.families import gen_h_graph, gen_min_degree_hard
+from matchlab.families import gen_h_graph, gen_min_degree_hard, type_optimum_bounds
 from matchlab.graphs import (BipartiteGraph, matching_size, maximum_matching,
                              verify_matching)
-from matchlab.iid import (check_consistency, gadget_overflow_count,
-                          materialize_instance, run_greedy_iid,
-                          run_min_degree, sample_instance)
+from matchlab.iid import (check_consistency, materialize_instance,
+                          run_greedy_iid, run_min_degree, sample_instance)
 from matchlab.online import arrival_pass, tie_rule
 from matchlab.rng import Draws, derive_seed, make_rng
 
@@ -255,6 +254,8 @@ def test_ratio_estimate_replays_per_seed():
 
 
 def test_gadget_overflow_counting():
+    # a gadget overflows exactly when its arrivals go past its capacity,
+    # which is when the two bounds differ
     g, desc = gen_min_degree_hard(2, 2, 1)
     inst = sample_instance(g, 0)
     cap = desc.extra["gadget_capacity"]
@@ -262,13 +263,27 @@ def test_gadget_overflow_counting():
     # force every draw into the first gadget: far beyond its capacity
     inst.draws[:] = g1_lo
     assert g.n_online > cap
-    assert gadget_overflow_count(desc, inst) == 1
+    lower, upper = type_optimum_bounds(desc, inst.draws)
+    assert lower < upper
     inst.draws[:] = 0  # all copy arrivals: no gadget pressure at all
-    assert gadget_overflow_count(desc, inst) == 0
-    from matchlab.families import gen_h_graph
+    lower, upper = type_optimum_bounds(desc, inst.draws)
+    assert lower == upper
     _, hdesc = gen_h_graph(2, 1)
     with pytest.raises(ValueError):
-        gadget_overflow_count(hdesc, inst)
+        type_optimum_bounds(hdesc, inst.draws)
+
+
+def test_iid_trials_whose_gadget_overflows_take_hopcroft_karps_optimum(monkeypatch):
+    params = {"L": 2, "N": 2, "K": 1}
+    g, desc = gen_min_degree_hard(*params.values())
+    draws = np.full(g.n_online, g.n_online - 1)  # every arrival in the last gadget
+    lower, upper = type_optimum_bounds(desc, draws)
+    opt = matching_size(maximum_matching(materialize_instance(g, iid.InstanceSample(draws))))
+    assert lower < opt == upper  # the gadget's overflow spills into the copy
+    monkeypatch.setattr(experiments, "sample_instance",
+                        lambda g, seed: iid.InstanceSample(draws.copy()))
+    rows = run_experiment(ExperimentSpec("mindegreehard", params, "mindegree", trials=3))
+    assert [o for _, _, o in rows] == [opt] * 3
 
 
 def test_hard_family_sampled_optimum_floor_with_gadget_capacity():
@@ -283,18 +298,13 @@ def test_hard_family_sampled_optimum_floor_with_gadget_capacity():
     checked = 0
     for t in range(samples):
         inst = sample_instance(tg, derive_seed(SEED, 3000 + t))
-        if gadget_overflow_count(desc, inst):
+        lower, upper = type_optimum_bounds(desc, inst.draws)
+        if lower < upper:  # a gadget overflows
             continue
-        deficiency = 0
-        for lo, hi in desc.extra["copy_online"]:
-            arrivals = inst.draws[(inst.draws >= lo) & (inst.draws < hi)] - lo
-            per_block = np.bincount(arrivals // L, minlength=N)
-            late = np.cumsum(per_block[::-1]) - L * np.arange(1, N + 1)
-            deficiency += max(0, int(late.max()))
         size = matching_size(maximum_matching(materialize_instance(tg, inst)))
-        assert size == tg.n_online - deficiency, (
+        assert size == lower, (
             f"sample {t}: sampled optimum {size}, but the copies' Hall "
-            f"deficiencies leave {tg.n_online - deficiency}")
+            f"deficiencies leave {lower}")
         checked += 1
     assert checked >= samples - 1, (
         f"gadgets overflowed in {samples - checked} of {samples} samples")

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from matchlab import online, priority
 from matchlab.cli import graph_document
-from matchlab.families import gen_min_degree_hard
+from matchlab.families import gen_goel_mehta, gen_min_degree_hard, type_optimum_bounds
 from matchlab.graphs import (BRUTE_FORCE_MAX_ONLINE, BipartiteGraph,
                              brute_force_maximum_matching,
                              graph_from_dict, matching_size, maximum_matching,
@@ -188,6 +188,35 @@ def test_the_instance_optimum_ignores_arrival_order(case, seed):
     if g.n_online <= BRUTE_FORCE_MAX_ONLINE:
         for h in (arrived, in_type_order):
             assert matching_size(brute_force_maximum_matching(h)) == size
+
+
+@st.composite
+def skewed_type_instances(draw):
+    """(generator, shape, draws): |U| draws of a type family with L, N, K
+    at most 4, uniform over its rows from a drawn one on, so that the
+    late blocks and the gadgets, the last rows, are often overfull."""
+    L, N, K = (draw(st.integers(1, 4)) for _ in range(3))
+    gen, shape = draw(st.sampled_from([(gen_goel_mehta, (L, N)),
+                                       (gen_min_degree_hard, (L, N, K))]))
+    n = gen(*shape)[0].n_online
+    lo = draw(st.integers(0, n - 1))
+    return gen, shape, draw(st.lists(st.integers(lo, n - 1), min_size=n, max_size=n))
+
+
+@SETTINGS
+@given(skewed_type_instances())
+@example((gen_min_degree_hard, (2, 4, 1), [15] * 16))  # 16 for 6 gadget + 8 copy vertices
+@example((gen_goel_mehta, (2, 3), [5] * 6))            # all in the last block
+def test_type_optimum_bounds_hold_hopcroft_karp(case):
+    # exact when they agree, which is when no gadget overflows
+    gen, shape, draws = case
+    g, desc = gen(*shape)
+    inst = InstanceSample(np.array(draws, dtype=np.int64))
+    lower, upper = type_optimum_bounds(desc, inst.draws)
+    size = matching_size(maximum_matching(materialize_instance(g, inst)))
+    assert lower <= size <= upper
+    if lower == upper:
+        assert size == lower
 
 
 @SETTINGS
